@@ -91,8 +91,14 @@ class ChainBlueprint:
     @classmethod
     def from_json(cls, text: str) -> "ChainBlueprint":
         data = json.loads(text)
-        choices = tuple(AttachmentMode(c) for c in data.get("choices", []))
-        return cls(n=int(data["n"]), choices=choices)
+        if not isinstance(data, dict):
+            raise ValueError("blueprint must be a JSON object")
+        n, choices = data["n"], data.get("choices", [])
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise ValueError(f'"n" must be an integer, got {n!r}')
+        if not isinstance(choices, list):
+            raise ValueError('"choices" must be a list of "M1"/"M2" strings')
+        return cls(n=n, choices=tuple(AttachmentMode(c) for c in choices))
 
 
 @dataclass(frozen=True)
@@ -113,7 +119,10 @@ class ProbabilityParams:
     def parse(cls, text: str) -> "ProbabilityParams":
         text = text.strip()
         if "/" in text:
-            return cls(Fraction(text))
+            try:
+                return cls(Fraction(text))
+            except ZeroDivisionError:
+                raise ValueError(f"p1 has a zero denominator: {text!r}") from None
         return cls(float(text))
 
     @property

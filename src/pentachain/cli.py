@@ -181,7 +181,7 @@ def _read_blueprint(config: RunConfig) -> ChainBlueprint:
         text = sys.stdin.read()
     try:
         return ChainBlueprint.from_json(text)
-    except (KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"invalid blueprint JSON: {exc}") from exc
 
 
@@ -189,8 +189,10 @@ def verify_engines(blueprint: ChainBlueprint):
     """Run every engine on one chain and demand agreement.
 
     BFS and structured distances must be identical, Laplacian and structured
-    resistances within 1e-9 entrywise, matrix and recurrence index values
-    exactly equal.  Raises EngineDisagreement otherwise; returns the bundle.
+    resistances within 1e-9 entrywise relative to the largest resistance
+    (the float solve's error grows with the chain), matrix and recurrence
+    index values exactly equal.  Raises EngineDisagreement otherwise;
+    returns the bundle.
     """
     graph = build_graph(blueprint)
     dist_struct, res_struct = structured_metrics(blueprint)
@@ -200,8 +202,9 @@ def verify_engines(blueprint: ChainBlueprint):
             f"BFS and structured distance matrices differ for {blueprint.to_json()}"
         )
     res_lap = laplacian_resistance(graph)
-    gap = float(np.abs(res_lap.as_float() - res_struct.as_float()).max())
-    if gap > _FLOAT_RES_TOL:
+    structured = res_struct.as_float()
+    gap = float(np.abs(res_lap.as_float() - structured).max())
+    if gap > _FLOAT_RES_TOL * max(1.0, float(structured.max())):
         raise EngineDisagreement(
             f"Laplacian and structured resistances differ by {gap:g} "
             f"for {blueprint.to_json()}"
@@ -286,6 +289,8 @@ def _mc_section(config: RunConfig, n_values, p_list) -> list[dict]:
 
 def cmd_report(config: RunConfig) -> tuple[str, int]:
     """Verification table, CSV surface, or normality rows, per flags."""
+    if config.workers < 1:
+        raise ValueError(f"--workers must be >= 1, got {config.workers}")
     if config.normality:
         rows = _normality_rows(config)
         if config.fmt == "csv" and not config.pretty:

@@ -1,9 +1,11 @@
 """Exact index distributions, Monte Carlo sampling and normality checks.
 
-The exact side enumerates every chain of a given length and aggregates index
-values with rational probabilities, giving oracle moments for the closed
-forms.  The sampling side draws chains with a splittable counter-based RNG
-laid out as 64 fixed logical streams: stream s is seeded with
+The exact side gives the full law of an index over all 2^(n-2) chains of a
+given length with rational probabilities, the oracle moments for the closed
+forms.  Every index is base + slope * T2, so one dynamic program over the
+exact law of T2 replaces a sweep over the chains themselves.  The sampling
+side draws chains with a splittable counter-based RNG laid out as 64 fixed
+logical streams: stream s is seeded with
 SeedSequence(masterSeed, spawn_key=(s,)) and owns the sample indices
 congruent to s mod 64, in fixed chunks, so the result of a run depends only
 on (masterSeed, sampleCount) and never on the number of worker processes.
@@ -27,16 +29,12 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import ndtr
 
-from .chain import ProbabilityParams, enumerate_blueprints, enumeration_cap
+from .chain import ProbabilityParams, enumeration_cap
 from .closedform import expected_index, variance_index
-from .indices import IndexKind, affine_in_t2, incremental_indices, t2_weights
+from .indices import IndexKind, affine_in_t2, t2_weights
 
 _STREAMS = 64
 _CHUNK = 4096
-# At most this many realizations go one at a time through the O(n) engine;
-# larger enumerations aggregate mode masks by dynamic programming over the
-# per-step weights.  Tests pin the two paths equal where they overlap.
-_BULK_ENUM_LIMIT = 4096
 
 # Asymptotic two-sided Kolmogorov critical constants c(alpha); the test
 # threshold is c(alpha) / sqrt(sampleCount).
@@ -77,11 +75,14 @@ class ExactDistribution:
 
 
 def exact_distribution(index: IndexKind, n: int, p1, cap: int | None = None) -> ExactDistribution:
-    """Enumerate the exact distribution of one index at chain length n.
+    """Exact distribution of one index over all 2^(n-2) chains of length n.
 
-    p1 is used exactly: float input is converted through Fraction(float), so
-    probabilities always sum to exactly 1 in rational arithmetic.  Raises
-    ValueError when n exceeds the enumeration cap.
+    The index is base + slope * T2.  With p1 = a/b, the law of T2 has integer
+    numerators over b^(n-2) from one pass num <- a*num + (b-a)*shift(num, w_k)
+    over k = 2..n-1, and the moments come from integer sums over T2.  p1 is
+    used exactly: float input is converted through Fraction(float), so
+    probabilities always sum to exactly 1.  Raises ValueError when n exceeds
+    the enumeration cap.
     """
     exact = _as_exact_p1(p1)
     if not 0 <= exact <= 1:
@@ -94,39 +95,29 @@ def exact_distribution(index: IndexKind, n: int, p1, cap: int | None = None) -> 
             f"n={n} exceeds the enumeration cap {limit} "
             f"(2^{max(0, n - 2)} realizations)"
         )
-    steps = max(0, n - 2)
-    acc: dict[Fraction, Fraction] = {}
-    if 2**steps <= _BULK_ENUM_LIMIT:
-        params = ProbabilityParams(p1=exact)
-        for blueprint, prob in enumerate_blueprints(n, params, cap=limit):
-            value = incremental_indices(blueprint).get(index)
-            acc[value] = acc.get(value, Fraction(0)) + prob
-    else:
-        base, slope = affine_in_t2(index, n)
-        weights = t2_weights(n)
-        # counts[j, t]: mode masks with j mode-2 choices and weight sum t
-        counts = np.zeros((steps + 1, int(weights.sum()) + 1), dtype=np.int64)
-        counts[0, 0] = 1
-        for w in weights:
-            shifted = np.zeros_like(counts)
-            shifted[1:, w:] = counts[:-1, : counts.shape[1] - w]
-            counts += shifted
-        q = 1 - exact
-        for j in range(steps + 1):
-            row = counts[j]
-            if not row.any():
-                continue
-            prob_j = exact ** (steps - j) * q**j
-            if prob_j == 0:
-                continue
-            for t in np.nonzero(row)[0]:
-                value = base + slope * int(t)
-                acc[value] = acc.get(value, Fraction(0)) + int(row[t]) * prob_j
-    support = tuple(sorted(acc.items()))
-    total = sum(prob for _, prob in support)
-    assert total == 1
-    mean = sum(prob * value for value, prob in support)
-    variance = sum(prob * value * value for value, prob in support) - mean * mean
+    a, b = exact.numerator, exact.denominator
+    weights = t2_weights(n).tolist()
+    num = np.zeros(sum(weights) + 1, dtype=object)
+    num[0] = 1
+    hi = 0
+    for w in weights:
+        shifted = (b - a) * num[: hi + 1]
+        num[: hi + w + 1] *= a
+        num[w : hi + w + 1] += shifted
+        hi += w
+    law = [(t, c) for t, c in enumerate(num.tolist()) if c]
+    denom = b ** max(0, n - 2)
+    if sum(c for _, c in law) != denom:
+        raise ArithmeticError(f"T2 law at n={n}, p1={p1} does not sum to 1")
+    base, slope = affine_in_t2(index, n)
+    # values over the common denominator; every slope is positive, so they ascend
+    scale = base.denominator * slope.denominator
+    v0, dv = base.numerator * slope.denominator, slope.numerator * base.denominator
+    support = tuple((Fraction(v0 + dv * t, scale), Fraction(c, denom)) for t, c in law)
+    s1 = sum(t * c for t, c in law)
+    s2 = sum(t * t * c for t, c in law)
+    mean = base + slope * Fraction(s1, denom)
+    variance = slope * slope * Fraction(s2 * denom - s1 * s1, denom * denom)
     return ExactDistribution(
         index=index, n=n, p1=exact, support=support, mean=mean, variance=variance
     )
@@ -189,6 +180,12 @@ def _merge_block(a, b):
         min(min_a, min_b),
         max(max_a, max_b),
     )
+
+
+def _check_int64_t2(n: int) -> None:
+    """Sampling sums T2 in int64; refuse lengths where C(n,3) would overflow."""
+    if math.comb(n, 3) >= 2**63:
+        raise ValueError(f"n={n} is too long to sample: T2 up to C(n,3) overflows int64")
 
 
 def _stream_sample_count(sample_count: int, stream: int) -> int:
@@ -256,6 +253,7 @@ def monte_carlo(
     p1f = _as_float_p1(p1)
     if not 0.0 <= p1f <= 1.0:
         raise ValueError(f"p1 must lie in [0, 1], got {p1!r}")
+    _check_int64_t2(n)
     pairs = [affine_in_t2(kind, n) for kind in kinds]
     bases = tuple(float(base) for base, _ in pairs)
     slopes = tuple(float(slope) for _, slope in pairs)
@@ -285,6 +283,7 @@ def sample_values(
     """The exact value sequence monte_carlo aggregates, in draw order."""
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
+    _check_int64_t2(n)
     p1f = _as_float_p1(p1)
     base, slope = affine_in_t2(index, n)
     base_f, slope_f = float(base), float(slope)

@@ -202,16 +202,14 @@ def t2_weights(n: int) -> np.ndarray:
 
 
 def t2_of_blueprint(blueprint: ChainBlueprint) -> int:
-    """T2 = sum of (n-k)(k-1) over the blueprint's mode-2 positions."""
+    """T2 = sum of (n-k)(k-1) over the blueprint's mode-2 positions.
+
+    Summed in Python integers as (n+1)*sum(k) - sum(k^2) - n*count, so T2
+    stays exact past the int64 range (C(n,3) >= 2^63 from n ~ 3.8e6).
+    """
     n = blueprint.n
-    if n <= 2:
-        return 0
-    mask = np.fromiter(
-        (c is AttachmentMode.MODE2 for c in blueprint.choices),
-        dtype=bool,
-        count=n - 2,
-    )
-    return int(t2_weights(n)[mask].sum())
+    ks = [k for k, c in enumerate(blueprint.choices, start=2) if c is AttachmentMode.MODE2]
+    return (n + 1) * sum(ks) - sum(k * k for k in ks) - n * len(ks)
 
 
 def affine_in_t2(kind: IndexKind, n: int) -> tuple[Fraction, Fraction]:
@@ -223,7 +221,8 @@ def affine_in_t2(kind: IndexKind, n: int) -> tuple[Fraction, Fraction]:
     intercept gaps coincide for every index.
     """
     x1, _, a1, b1, a2, b2, _, _, scale = _REC[kind]
-    assert a2 - a1 == b2 - b1  # shared gap makes the shift (n-k)(k-1)-shaped
+    if a2 - a1 != b2 - b1:  # the shared gap makes the shift (n-k)(k-1)-shaped
+        raise ArithmeticError(f"{kind.value}: mode slope and intercept gaps differ")
     return Fraction(_mode1_total(kind, n), scale), Fraction(a2 - a1, scale)
 
 

@@ -1,8 +1,9 @@
-"""Moment verification reports: closed forms against the enumeration oracle.
+"""Moment verification reports: closed forms against the exact-law oracle.
 
 A report row holds, for one index at one (n, p1), the reference and verified
-expectations, the shared variance value, the exact enumeration moments when n
-is within the enumeration cap, match flags at 1e-9 relative tolerance, and
+expectations, the shared variance value, the exact moments over all 2^(n-2)
+chains (from the T2-law dynamic program of exact_distribution) when n is
+within the enumeration cap, match flags at 1e-9 relative tolerance, and
 the reference-vs-oracle gaps.  A mismatch of the reference expectation is
 "explained" when the discrepancy registry has entries for that index and the
 verified form does match; anything else is an unexplained failure and makes
@@ -70,7 +71,7 @@ class MomentReport:
 
 
 def moment_report(n, p1, indices=MOMENT_INDICES, cap=None, with_oracle=True) -> MomentReport:
-    """Evaluate closed forms at (n, p1) and compare with exact enumeration.
+    """Evaluate closed forms at (n, p1) and compare with the exact law.
 
     The oracle columns fill only when with_oracle holds and n is within the
     enumeration cap; beyond it the closed forms are reported alone and every

@@ -1,15 +1,27 @@
 """Command-line contract: formats, determinism, exit codes 0/2/3/4."""
 
+import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import pentachain.cli as cli
 import pentachain.report as report_mod
-from pentachain import AttachmentMode, ChainBlueprint, IndexBundle, RunConfig, main
+from pentachain import (
+    AttachmentMode,
+    ChainBlueprint,
+    IndexBundle,
+    MetricMatrix,
+    RunConfig,
+    all_mode_blueprint,
+    main,
+)
 
 
 def run(argv, capsys):
@@ -120,6 +132,77 @@ def test_engine_disagreement_exits_3(tmp_path, monkeypatch, capsys):
     assert code == 3
     assert out == ""
     assert "engine disagreement" in err
+
+
+def test_laplacian_tolerance_scales_with_resistance():
+    # the float solve drifts ~2.5e-9 on resistances of a few hundred ohms
+    bundle = cli.verify_engines(all_mode_blueprint(200, AttachmentMode.MODE2))
+    assert bundle.n == 200
+
+
+def test_laplacian_check_catches_one_corrupted_entry(monkeypatch):
+    real = cli.laplacian_resistance
+
+    def corrupted(graph):
+        res = real(graph)
+        data = res.data.copy()
+        u, v = np.unravel_index(data.argmax(), data.shape)
+        data[u, v] *= 1 + 1e-7
+        return MetricMatrix(res.size, res.kind, data, res.denominator)
+
+    monkeypatch.setattr(cli, "laplacian_resistance", corrupted)
+    with pytest.raises(cli.EngineDisagreement, match="Laplacian"):
+        cli.verify_engines(all_mode_blueprint(100, AttachmentMode.MODE2))
+
+
+@pytest.mark.parametrize(
+    "argv, stdin",
+    [
+        (["generate", "--n", "3", "--p1", "1/0"], None),
+        (["report", "--p1", "1/0"], None),
+        (["indices"], "[1, 2]"),
+        (["indices"], '{"n": 4, "choices": "M1M2"}'),
+        (["indices"], '{"n": 1.5}'),
+        (["report", "--nmax", "2", "--workers", "0"], None),
+    ],
+)
+def test_bad_input_exits_2_with_one_line(argv, stdin, monkeypatch, capsys):
+    if stdin is not None:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, sha1",
+    [
+        (
+            ["report", "--nmax", "12", "--p1", "1/5,1/2,4/5"],
+            "11487d4c451853ce6926ce0ad2783990b555f435",
+        ),
+        (
+            ["report", "--nmax", "9", "--p1", "0.3", "--format", "csv"],
+            "9c38c074e8f95618221df0e3fcac490daa667210",
+        ),
+    ],
+)
+def test_report_stdout_is_golden(argv, sha1, capsys):
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert hashlib.sha1(out.encode()).hexdigest() == sha1
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = subprocess.run(
+        [sys.executable, "-m", "pentachain", "generate", "--n", "3", "--edges-only"],
+        capture_output=True,
+        text=True,
+        env=os.environ | {"PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert len(proc.stdout.splitlines()) == 17
 
 
 def test_report_verification_passes(capsys):

@@ -14,6 +14,7 @@ from pentachain import (
     MOMENT_INDICES,
     IndexKind,
     NormalityResult,
+    ProbabilityParams,
     SampleStats,
     Standardization,
     exact_distribution,
@@ -23,10 +24,11 @@ from pentachain import (
     normality_test,
     sample_values,
     samples_csv,
+    t2_weights,
     variance_index,
 )
 
-from helpers import enumeration_moments
+from helpers import enumeration_laws, enumeration_moments
 
 
 def test_two_atom_law():
@@ -78,11 +80,15 @@ def test_float_p1_is_exactified():
     assert d.p1 == Fraction(0.3)
 
 
-def test_bulk_path_matches_enumeration(monkeypatch):
-    small = exact_distribution(IndexKind.GUTMAN, 7, Fraction(2, 5))
-    monkeypatch.setattr(distribution, "_BULK_ENUM_LIMIT", 1)
-    bulk = exact_distribution(IndexKind.GUTMAN, 7, Fraction(2, 5))
-    assert bulk == small
+def test_bulk_path_matches_enumeration():
+    # the T2-law dynamic program against the per-blueprint sweep, all indices
+    for p in (Fraction(2, 5), 0.3):
+        exact_p = ProbabilityParams(Fraction(p))
+        for n in range(1, 11):
+            for kind, (support, mean, variance) in enumeration_laws(n, exact_p).items():
+                d = exact_distribution(kind, n, p)
+                assert d.support == support
+                assert d.mean == mean and d.variance == variance
 
 
 def test_bulk_path_reaches_past_the_enumeration_cap():
@@ -90,6 +96,29 @@ def test_bulk_path_reaches_past_the_enumeration_cap():
     d = exact_distribution(IndexKind.KF_PLUS, 30, Fraction(1, 2), cap=40)
     assert d.mean == expected_index(IndexKind.KF_PLUS, 30, Fraction(1, 2))
     assert d.variance == variance_index(IndexKind.KF_PLUS, 30, Fraction(1, 2))
+
+
+def test_exact_law_stays_exact_at_large_n():
+    # 2^68 chains; the numerators run far past int64
+    d = exact_distribution(IndexKind.KF_PLUS, 70, Fraction(1, 2), cap=70)
+    assert d.mean == expected_index(IndexKind.KF_PLUS, 70, Fraction(1, 2))
+    assert d.variance == variance_index(IndexKind.KF_PLUS, 70, Fraction(1, 2))
+
+
+def test_t2_law_total_is_checked(monkeypatch):
+    # a law that loses one choice no longer sums to b^(n-2)
+    monkeypatch.setattr(distribution, "t2_weights", lambda n: t2_weights(n)[1:])
+    with pytest.raises(ArithmeticError):
+        exact_distribution(IndexKind.GUTMAN, 6, Fraction(1, 3))
+
+
+def test_sampling_refuses_int64_overflow():
+    n = 3_810_780  # smallest n with C(n, 3) >= 2^63
+    assert math.comb(n, 3) >= 2**63 > math.comb(n - 1, 3)
+    with pytest.raises(ValueError, match="overflows int64"):
+        monte_carlo(MOMENT_INDICES, n, 0.5, 10, 0)
+    with pytest.raises(ValueError, match="overflows int64"):
+        sample_values(IndexKind.GUTMAN, n, 0.5, 10, 0)
 
 
 def test_distribution_validation():

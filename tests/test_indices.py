@@ -1,10 +1,13 @@
 """Index engines: frozen values, cross-engine equality, affine structure."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
+
+import pentachain.indices as indices_mod
 
 from pentachain import (
     AttachmentMode,
@@ -143,6 +146,20 @@ def test_t2_weights_and_statistic():
         assert total == n * (n - 1) * (n - 2) // 6
         assert t2_of_blueprint(all_mode_blueprint(n, M2)) == total
         assert t2_of_blueprint(all_mode_blueprint(n, M1)) == 0
+
+
+def test_t2_is_exact_past_int64():
+    # C(n, 3) = 1.07e19 > 2^63 at n = 4e6
+    n = 4_000_000
+    assert t2_of_blueprint(all_mode_blueprint(n, M2)) == math.comb(n, 3)
+
+
+def test_affine_form_refuses_a_broken_gap(monkeypatch):
+    row = list(indices_mod._REC[IndexKind.GUTMAN])
+    row[4] += 1  # slope2 no longer exceeds slope1 by the intercept gap
+    monkeypatch.setitem(indices_mod._REC, IndexKind.GUTMAN, tuple(row))
+    with pytest.raises(ArithmeticError):
+        affine_in_t2(IndexKind.GUTMAN, 5)
 
 
 def test_affine_representation_exhaustive():
