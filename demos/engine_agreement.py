@@ -1,8 +1,9 @@
-"""Race the three metric engines and the O(n) recurrence on random chains.
+"""Race the three metric engines and the O(n) engine on random chains.
 
 BFS and the cut-edge engine must agree bit for bit on distances, the
-Laplacian pseudoinverse within float tolerance on resistances, and the
-recurrence must reproduce the matrix-based index values exactly.
+Laplacian pseudoinverse within float tolerance on resistances, and the O(n)
+engine (base + slope * T2) must reproduce the matrix-based index values
+exactly.
 """
 
 import time
@@ -45,7 +46,7 @@ for trial in range(20):
 print("20 random chains, n up to 12: all engines agree")
 print(f"worst Laplacian-vs-exact resistance gap: {worst_gap:.3e}")
 
-# the recurrence is the only engine that scales to very long chains
+# the O(n) engine is the only one that scales to very long chains
 long_chain = sample_blueprint(10**5, p, rng)
 t0 = time.perf_counter()
 bundle = incremental_indices(long_chain)

@@ -5,10 +5,10 @@ two-way random choice of attachment vertex at every step from the third
 pentagon on.  The package builds and enumerates such chains, computes six
 distance- and resistance-based topological indices through independent
 engines (breadth-first distances, Laplacian resistances, a structured
-cut-edge engine, and an O(n) recurrence), evaluates closed-form expectation
-and variance formulas, and checks them against exact enumeration and seeded
-Monte Carlo, including an empirical normality test of the standardized
-indices.
+cut-edge engine, and an O(n) affine-in-T2 engine), evaluates closed-form
+expectation and variance formulas, and checks them against exact enumeration
+and seeded Monte Carlo, including an empirical normality test of the
+standardized indices.
 """
 
 from .chain import (
@@ -59,7 +59,6 @@ from .indices import (
     affine_in_t2,
     compute_indices,
     incremental_indices,
-    mode_step_constants,
     t2_of_blueprint,
     t2_weights,
 )

@@ -181,7 +181,7 @@ def _read_blueprint(config: RunConfig) -> ChainBlueprint:
         text = sys.stdin.read()
     try:
         return ChainBlueprint.from_json(text)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ValueError(f"invalid blueprint JSON: {exc}") from exc
 
 
@@ -190,7 +190,7 @@ def verify_engines(blueprint: ChainBlueprint):
 
     BFS and structured distances must be identical, Laplacian and structured
     resistances within 1e-9 entrywise relative to the largest resistance
-    (the float solve's error grows with the chain), matrix and recurrence
+    (the float solve's error grows with the chain), matrix and O(n) engine
     index values exactly equal.  Raises EngineDisagreement otherwise;
     returns the bundle.
     """
@@ -380,13 +380,13 @@ def main(argv=None) -> int:
     commands = {"generate": cmd_generate, "indices": cmd_indices, "report": cmd_report}
     try:
         text, code = commands[config.command](config)
+        _emit(text, config.out)
     except EngineDisagreement as exc:
         print(f"engine disagreement: {exc}", file=sys.stderr)
         return EXIT_ENGINE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _emit(text, config.out)
     return code
 
 

@@ -1,19 +1,21 @@
 """Closed-form moments of the random-chain indices.
 
-The expected Gutman, Schultz and the two degree-Kirchhoff indices of a random
-pentagonal chain are cubic polynomials in the chain length n whose
-coefficients are affine in the mode-1 probability p1; all four variances share
-one degree-5 polynomial driven by a per-index (sigma2, sigma2_tilde, r) block
-built from the per-step mode constants.  Auxiliary expected vertex loads of
-the open attachment vertex (sequences A through D) are quadratics of the same
-shape.
+Every index of a chain is base(n) + slope * T2, where T2 sums the weights
+w_k = (n-k)(k-1) over the mode-2 positions k = 2..n-1, each position
+independently mode 2 with probability 1 - p1.  Hence the expected Gutman,
+Schultz and the two degree-Kirchhoff indices are cubic polynomials in the
+chain length n whose coefficients are affine in the mode-1 probability p1,
+and every variance is slope**2 * p1(1-p1) * sum_k w_k**2.  Auxiliary
+expected vertex loads of the open attachment vertex (sequences A through D)
+are quadratics of the same shape.
 
-Coefficient tables are stored, not re-derived at runtime, and come in two
-flavours selected by `Source`:
+Expectations and sequences come in two flavours selected by `Source`:
 
-* ``Source.REFERENCE`` keeps the reference closed forms verbatim, for
-  faithful reproduction.
-* ``Source.VERIFIED`` holds the closed forms that match exact enumeration.
+* ``Source.REFERENCE`` keeps the reference closed forms verbatim, stored as
+  coefficient tables, for faithful reproduction.
+* ``Source.VERIFIED`` derives the expectation cubics at runtime by exact
+  interpolation of deterministic-chain values
+  (`fitted_expectation_coefficients`); the sequences stay stored tables.
   The two differ only for the degree-Kirchhoff expectations (and the
   resistance-load sequence D feeding one of them); the ``DISCREPANCIES``
   registry documents every known gap, and the enumeration oracle in the test
@@ -25,17 +27,15 @@ double precision otherwise.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cache
+from types import MappingProxyType
 
 from .chain import AttachmentMode, ProbabilityParams, all_mode_blueprint
-from .indices import (
-    MOMENT_INDICES,
-    IndexKind,
-    incremental_indices,
-    mode_step_constants,
-)
+from .indices import MOMENT_INDICES, IndexKind, affine_in_t2, incremental_indices
 
 F = Fraction
 
@@ -77,27 +77,6 @@ _EXPECTATION_REFERENCE: dict[IndexKind, dict[int, tuple[Fraction, Fraction]]] = 
     IndexKind.KF_PLUS: {3: (F(44), F(-8)), 2: (F(11), F(48)), 1: (F(-15), F(-88)), 0: (F(0), F(48))},
 }
 
-# The verified degree-Kirchhoff expectations come from exact interpolation of
-# the enumeration moments (fitted_expectation_coefficients reproduces them);
-# reference minus verified is 48(n-1) for kf_star and 24 p1 (n-1)(n-2) for
-# kf_plus.  The other two tables agree with the reference ones.
-_EXPECTATION_VERIFIED: dict[IndexKind, dict[int, tuple[Fraction, Fraction]]] = {
-    IndexKind.GUTMAN: _EXPECTATION_REFERENCE[IndexKind.GUTMAN],
-    IndexKind.SCHULTZ: _EXPECTATION_REFERENCE[IndexKind.SCHULTZ],
-    IndexKind.KF_STAR: {
-        3: (F(264, 5), F(-48, 5)),
-        2: (F(-12, 5), F(144, 5)),
-        1: (F(-47, 5), F(-96, 5)),
-        0: (F(-1), F(0)),
-    },
-    IndexKind.KF_PLUS: {3: (F(44), F(-8)), 2: (F(11), F(24)), 1: (F(-15), F(-16)), 0: (F(0), F(0))},
-}
-
-_EXPECTATION = {
-    Source.REFERENCE: _EXPECTATION_REFERENCE,
-    Source.VERIFIED: _EXPECTATION_VERIFIED,
-}
-
 _SEQUENCE_SHARED: dict[SequenceKind, dict[int, tuple[Fraction, Fraction]]] = {
     SequenceKind.A: {2: (F(18), F(-6)), 1: (F(-7), F(6)), 0: (F(1), F(0))},
     SequenceKind.B: {2: (F(15, 2), F(-5, 2)), 1: (F(-3, 2), F(5, 2)), 0: (F(0), F(0))},
@@ -118,19 +97,15 @@ _SEQUENCE = {
 
 @dataclass(frozen=True)
 class MomentParams:
-    """Variance building blocks of one index at a given p1.
+    """Variance building block of one index at a given p1.
 
-    sigma2 is the variance of the per-step slope draw, sigma2_tilde the
-    variance of the intercept draw, r their covariance.  Because the two
-    modes differ by the same gap in slope and intercept, all three coincide
-    at p1(1-p1) * gap**2 for every index here; the degree-5 variance
-    polynomial keeps them separate anyway.
+    step_variance = p1(1-p1) * slope**2 is the variance that one attachment
+    choice of weight 1 adds to the index; the index variance is
+    step_variance * sum_k w_k**2.
     """
 
     index: IndexKind
-    sigma2: Fraction | float
-    sigma2_tilde: Fraction | float
-    r: Fraction | float
+    step_variance: Fraction | float
 
 
 @dataclass(frozen=True)
@@ -273,14 +248,18 @@ def expected_index(index, n, p1, source=Source.VERIFIED):
         Mode-1 attachment probability.  Rational input gives an exact
         Fraction result, float input a float.
     source : Source
-        VERIFIED (default) evaluates the enumeration-backed table,
+        VERIFIED (default) evaluates the cubic fitted from chain values,
         REFERENCE the verbatim reference table.
     """
     _require_moment_index(index)
     if n < 1:
         raise ValueError("n must be >= 1")
     value, exact = _coerce_p1(p1)
-    return _eval_poly(_EXPECTATION[source][index], n, value, exact)
+    if source is Source.REFERENCE:
+        poly = _EXPECTATION_REFERENCE[index]
+    else:
+        poly = fitted_expectation_coefficients(index)
+    return _eval_poly(poly, n, value, exact)
 
 
 def sequence_values(kind, n, p1, source=Source.VERIFIED):
@@ -293,56 +272,40 @@ def sequence_values(kind, n, p1, source=Source.VERIFIED):
     return _eval_poly(_SEQUENCE[source][kind], n, value, exact)
 
 
-def moment_params(index, p1) -> MomentParams:
-    """Variance blocks (sigma2, sigma2_tilde, r) of one index at p1.
-
-    sigma2 is the variance of the mode-dependent slope draw, sigma2_tilde
-    the intercept draw's, r the covariance; the three vanish at p1 in {0, 1}
-    and satisfy r**2 <= sigma2 * sigma2_tilde.
-    """
+def _exact_step_variance(index, p1) -> tuple[Fraction, bool]:
+    """(p1(1-p1) * slope**2 at the exact value of p1, whether p1 was exact)."""
     _require_moment_index(index)
     value, exact = _coerce_p1(p1)
-    a1, b1, a2, b2 = mode_step_constants(index)
-    # two-point draw: variance p*q*gap^2, free of the cancellation the
-    # E[x^2] - E[x]^2 form suffers at float p near the endpoints; the gaps
-    # are differenced exactly before any float conversion
-    gap_a = a2 - a1
-    gap_b = b2 - b1
-    if not exact:
-        gap_a, gap_b = float(gap_a), float(gap_b)
-    pq = value * (1 - value)
-    return MomentParams(
-        index=index,
-        sigma2=pq * gap_a * gap_a,
-        sigma2_tilde=pq * gap_b * gap_b,
-        r=pq * gap_a * gap_b,
-    )
+    p = Fraction(value)
+    _, slope = affine_in_t2(index, 1)  # the slope does not depend on n
+    return p * (1 - p) * slope * slope, exact
+
+
+def moment_params(index, p1) -> MomentParams:
+    """Variance block of one index at p1: step_variance = p1(1-p1) * slope**2.
+
+    Vanishes at p1 in {0, 1}.  Exact when p1 is rational; float p1 gives the
+    float nearest the exact value at Fraction(p1).
+    """
+    step, exact = _exact_step_variance(index, p1)
+    return MomentParams(index=index, step_variance=step if exact else float(step))
 
 
 def variance_index(index, n, p1):
     """Closed-form variance of one index over random chains of n pentagons.
 
-    Evaluates the shared degree-5 polynomial in n on the index's
-    MomentParams block.  Zero for n <= 2 (the chain is deterministic) and at
-    p1 in {0, 1}; exact when p1 is rational.
+    T2 is a sum of independent weighted Bernoulli(1 - p1) choices, so the
+    variance is step_variance * sum_k w_k**2 with
+    sum_k w_k**2 = n(n-1)(n-2)((n-1)**2 + 1) / 30.  Zero for n <= 2 (the
+    chain is deterministic) and at p1 in {0, 1}.  Computed in exact
+    rationals; float p1 is converted through Fraction(p1) and the result
+    rounded once.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    params = moment_params(index, p1)
-    s, st, r = params.sigma2, params.sigma2_tilde, params.r
-    if n <= 2 or not s:
-        # no choices to vary, or a deterministic mode law: identically zero,
-        # returned without the polynomial so the float path is exact too
-        return s - s
-    total = (
-        s * n**5
-        - 5 * r * n**4
-        + 10 * st * n**3
-        + (65 * r - 30 * s - 45 * st) * n**2
-        + (59 * s + 65 * st - 120 * r) * n
-        + (60 * r - 30 * s - 30 * st)
-    )
-    return total / 30
+    step, exact = _exact_step_variance(index, p1)
+    variance = step * (n * (n - 1) * (n - 2) * ((n - 1) ** 2 + 1) // 30)
+    return variance if exact else float(variance)
 
 
 def interpolate_polynomial(points, degree):
@@ -374,15 +337,16 @@ def interpolate_polynomial(points, degree):
     return coeffs
 
 
-def fitted_expectation_coefficients(index) -> dict[int, tuple[Fraction, Fraction]]:
-    """Expectation cubic refitted from chain values, bypassing the tables.
+@cache
+def fitted_expectation_coefficients(index) -> Mapping[int, tuple[Fraction, Fraction]]:
+    """Expectation cubic fitted from chain values: the Source.VERIFIED form.
 
     Runs the O(n) engine on the two deterministic chains (all mode 1 for
     p1 = 1, all mode 2 for p1 = 0) at n = 1..6; four points pin each cubic
     and the last two must confirm it.  Expectation is affine in p1 because
     every index is affine in the mode-2 weight sum T2, so the two fits
-    determine the whole {power: (c0, c1)} table.  Tests enforce equality
-    with the Source.VERIFIED table.
+    determine the whole {power: (c0, c1)} table, highest power first.
+    Computed once per index and returned as a read-only mapping.
     """
     _require_moment_index(index)
 
@@ -394,7 +358,9 @@ def fitted_expectation_coefficients(index) -> dict[int, tuple[Fraction, Fraction
 
     at_one = interpolate_polynomial(chain_values(AttachmentMode.MODE1), 3)
     at_zero = interpolate_polynomial(chain_values(AttachmentMode.MODE2), 3)
-    return {
-        power: (at_zero[power], at_one[power] - at_zero[power])
-        for power in range(3, -1, -1)
-    }
+    return MappingProxyType(
+        {
+            power: (at_zero[power], at_one[power] - at_zero[power])
+            for power in range(3, -1, -1)
+        }
+    )

@@ -27,7 +27,6 @@ from enum import Enum
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import ndtr
 
 from .chain import ProbabilityParams, enumeration_cap
 from .closedform import expected_index, variance_index
@@ -182,10 +181,22 @@ def _merge_block(a, b):
     )
 
 
-def _check_int64_t2(n: int) -> None:
-    """Sampling sums T2 in int64; refuse lengths where C(n,3) would overflow."""
+def _check_sampling(n: int, p1, sample_count: int) -> float:
+    """Validate sampling arguments and return p1 as a float.
+
+    Sampling sums T2 in int64, so lengths where C(n,3) would overflow are
+    refused.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if sample_count < 1:
+        raise ValueError("sample_count must be >= 1")
+    p1f = _as_float_p1(p1)
+    if not 0.0 <= p1f <= 1.0:
+        raise ValueError(f"p1 must lie in [0, 1], got {p1!r}")
     if math.comb(n, 3) >= 2**63:
         raise ValueError(f"n={n} is too long to sample: T2 up to C(n,3) overflows int64")
+    return p1f
 
 
 def _stream_sample_count(sample_count: int, stream: int) -> int:
@@ -199,28 +210,30 @@ def _stream_rng(master_seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seq))
 
 
-def _stream_stats(args):
-    """Chunked two-pass stats of one logical stream, one block per index."""
-    master_seed, stream, sample_count, n, p1f, bases, slopes = args
-    count = _stream_sample_count(sample_count, stream)
-    blocks = [None] * len(bases)
-    if count == 0:
-        return blocks
+def _t2_chunks(master_seed: int, stream: int, sample_count: int, n: int, p1f: float):
+    """T2 of one logical stream's draws, one array per chunk, in draw order."""
     steps = max(0, n - 2)
     weights = t2_weights(n)
     rng = _stream_rng(master_seed, stream)
+    count = _stream_sample_count(sample_count, stream)
     for start in range(0, count, _CHUNK):
         length = min(_CHUNK, count - start)
         if steps:
-            u = rng.random((length, steps))
-            t2 = (u >= p1f) @ weights
+            yield (rng.random((length, steps)) >= p1f) @ weights
         else:
-            t2 = np.zeros(length, dtype=np.int64)
+            yield np.zeros(length, dtype=np.int64)
+
+
+def _stream_stats(args):
+    """Chunked two-pass stats of one logical stream, one block per index."""
+    master_seed, stream, sample_count, n, p1f, bases, slopes = args
+    blocks = [None] * len(bases)
+    for t2 in _t2_chunks(master_seed, stream, sample_count, n, p1f):
         for i, (base, slope) in enumerate(zip(bases, slopes)):
             vals = base + slope * t2
             mean = float(vals.mean())
             block = (
-                length,
+                len(vals),
                 mean,
                 float(((vals - mean) ** 2).sum()),
                 float(vals.min()),
@@ -248,18 +261,13 @@ def monte_carlo(
     kinds = (indices,) if isinstance(indices, IndexKind) else tuple(indices)
     if not kinds:
         raise ValueError("need at least one index")
-    if sample_count < 1:
-        raise ValueError("sample_count must be >= 1")
-    p1f = _as_float_p1(p1)
-    if not 0.0 <= p1f <= 1.0:
-        raise ValueError(f"p1 must lie in [0, 1], got {p1!r}")
-    _check_int64_t2(n)
+    p1f = _check_sampling(n, p1, sample_count)
     pairs = [affine_in_t2(kind, n) for kind in kinds]
     bases = tuple(float(base) for base, _ in pairs)
     slopes = tuple(float(slope) for _, slope in pairs)
     tasks = [
         (master_seed, s, sample_count, n, p1f, bases, slopes)
-        for s in range(_STREAMS)
+        for s in range(min(_STREAMS, sample_count))
     ]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -268,11 +276,9 @@ def monte_carlo(
         results = [_stream_stats(task) for task in tasks]
     stats = {}
     for i, kind in enumerate(kinds):
-        acc = None
-        for blocks in results:
-            block = blocks[i]
-            if block is not None:
-                acc = block if acc is None else _merge_block(acc, block)
+        acc = results[0][i]
+        for blocks in results[1:]:
+            acc = _merge_block(acc, blocks[i])
         stats[kind] = SampleStats(kind, *acc, seed=master_seed)
     return stats
 
@@ -281,32 +287,13 @@ def sample_values(
     index: IndexKind, n: int, p1, sample_count: int, master_seed: int
 ) -> np.ndarray:
     """The exact value sequence monte_carlo aggregates, in draw order."""
-    if sample_count < 1:
-        raise ValueError("sample_count must be >= 1")
-    _check_int64_t2(n)
-    p1f = _as_float_p1(p1)
+    p1f = _check_sampling(n, p1, sample_count)
     base, slope = affine_in_t2(index, n)
     base_f, slope_f = float(base), float(slope)
-    steps = max(0, n - 2)
-    weights = t2_weights(n)
     out = np.empty(sample_count, dtype=np.float64)
-    for stream in range(_STREAMS):
-        count = _stream_sample_count(sample_count, stream)
-        if count == 0:
-            continue
-        rng = _stream_rng(master_seed, stream)
-        vals = np.empty(count, dtype=np.float64)
-        pos = 0
-        for start in range(0, count, _CHUNK):
-            length = min(_CHUNK, count - start)
-            if steps:
-                u = rng.random((length, steps))
-                t2 = (u >= p1f) @ weights
-            else:
-                t2 = np.zeros(length, dtype=np.int64)
-            vals[pos : pos + length] = base_f + slope_f * t2
-            pos += length
-        out[stream::_STREAMS] = vals
+    for stream in range(min(_STREAMS, sample_count)):
+        chunks = _t2_chunks(master_seed, stream, sample_count, n, p1f)
+        out[stream::_STREAMS] = np.concatenate([base_f + slope_f * t2 for t2 in chunks])
     return out
 
 
@@ -366,11 +353,14 @@ class NormalityResult:
         )
 
 
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
 def ks_statistic(standardized) -> float:
     """Two-sided discrete sup distance between a sample CDF and Phi."""
     z = np.sort(np.asarray(standardized, dtype=np.float64))
     m = z.size
-    cdf = ndtr(z)
+    cdf = 0.5 * _erfc(-z / math.sqrt(2.0)).astype(np.float64)  # Phi(z)
     upper = np.arange(1, m + 1) / m
     return float(np.maximum(upper - cdf, cdf - (upper - 1.0 / m)).max())
 
@@ -388,7 +378,8 @@ def normality_test(
     Closed-form standardization uses the verified expectation and variance;
     sample standardization uses the drawn moments.  Parameter points with a
     deterministic chain (n <= 2, or p1 in {0, 1}) are refused: there is
-    nothing to standardize.
+    nothing to standardize.  So are sample standardizations of draws that
+    are all equal.
     """
     p1f = _as_float_p1(p1)
     if n <= 2 or not 0.0 < p1f < 1.0:
@@ -398,6 +389,8 @@ def normality_test(
         center = expected_index(index, n, p1f)
         scale = math.sqrt(variance_index(index, n, p1f))
     else:
+        if values.min() == values.max():  # also a single draw: no spread to scale by
+            raise ValueError("sample standardization needs at least two distinct draws")
         center = float(values.mean())
         scale = float(values.std(ddof=1))
     stat = ks_statistic((values - center) / scale)

@@ -1,4 +1,4 @@
-"""The six distance/resistance indices of a chain, by matrix and by recurrence.
+"""The six distance/resistance indices of a chain, by matrix and by T2.
 
 Index definitions (sums over unordered vertex pairs):
 
@@ -7,15 +7,14 @@ Index definitions (sums over unordered vertex pairs):
     schultz    sum (deg(u)+deg(v)) d(u,v)  kf_plus    sum (deg(u)+deg(v)) r(u,v)
 
 compute_indices evaluates them from exact metric matrices.  incremental_indices
-walks the chain pentagon by pentagon in O(n): appending pentagon k+1 across a
-cut edge adds a fixed accumulation term plus a carry scalar that itself grows
-by a mode-dependent linear step.  The carry seeds and steps below were derived
-from the pentagon metric tables and cut-edge additivity, and are pinned to the
-matrix engines by the exhaustive oracle tests; per the module contract the
-oracle, not the constant table, is the arbiter.
-
-Every index is affine in T2 = sum over mode-2 positions k of (n-k)(k-1), which
-gives a closed-form fast path for very long chains and for mass sampling.
+evaluates them in O(n) without the graph: every index equals
+base(n) + slope * T2, with T2 = sum over mode-2 positions k of (n-k)(k-1).
+base and slope come from the chain recurrence below: appending pentagon k+1
+across a cut edge adds a fixed accumulation term plus a carry scalar that
+itself grows by a mode-dependent linear step.  The carry seeds and steps were
+derived from the pentagon metric tables and cut-edge additivity; the matrix
+engines and a step-by-step walk of the recurrence in the test suite are the
+oracles that pin them.
 """
 
 from __future__ import annotations
@@ -143,56 +142,27 @@ _REC: dict[IndexKind, tuple[int, int, int, int, int, int, int, int, int]] = {
     IndexKind.KIRCHHOFF: (10, 20, 45, 25, 55, 35, 45, 10, 1),
 }
 
-# Above this length the affine-in-T2 fast path takes over; both paths are
-# exact and the tests pin them to each other across the boundary.
-_SCALAR_LIMIT = 4096
 
+def _scaled_affine(kind: IndexKind, n: int) -> tuple[int, int, int]:
+    """(base, slope, scale) in integers: index value = (base + slope*T2) / scale.
 
-def _scalar_totals(blueprint: ChainBlueprint) -> dict[IndexKind, Fraction]:
-    n = blueprint.n
-    choices = blueprint.choices
-    out = {}
-    for kind, (x1, c1, a1, b1, a2, b2, acc_a, acc_b, scale) in _REC.items():
-        x, carry = x1, c1
-        for k in range(1, n):
-            if k >= 2:
-                if choices[k - 2] is AttachmentMode.MODE1:
-                    carry += a1 * k - b1
-                else:
-                    carry += a2 * k - b2
-            x += carry + acc_a * k + acc_b
-        out[kind] = Fraction(x, scale)
-    return out
-
-
-def _mode1_total(kind: IndexKind, n: int) -> int:
-    """Scaled index value of the all-mode-1 chain, by summing the recurrence.
-
+    base is the all-mode-1 value, from summing the recurrence in closed form:
     carry_k = carry1 + slope1*(k(k+1)/2 - 1) - icept1*(k-1), and the total is
-    x1 + sum_{k=1}^{n-1} (carry_k + acc_slope*k + acc_icept); plain integer
-    algebra on the table above, no closed-form moment input.
+    x1 + sum_{k=1}^{n-1} (carry_k + acc_slope*k + acc_icept).  Flipping
+    position k to mode 2 shifts the final value by
+    (slope2 - slope1) * k - (icept2 - icept1), felt on each of the remaining
+    n - k steps, i.e. by slope * (n-k)(k-1) since the slope and intercept gaps
+    coincide for every index.  Plain integer algebra on the table above, no
+    closed-form moment input.
     """
-    x1, c1, a1, b1, _, _, acc_a, acc_b, _ = _REC[kind]
+    x1, c1, a1, b1, a2, b2, acc_a, acc_b, scale = _REC[kind]
+    if a2 - a1 != b2 - b1:  # the shared gap makes the shift (n-k)(k-1)-shaped
+        raise ArithmeticError(f"{kind.value}: mode slope and intercept gaps differ")
     m = n - 1
     sum_k = m * (m + 1) // 2
     sum_k2 = m * (m + 1) * (2 * m + 1) // 6
     sum_carry = m * c1 + a1 * ((sum_k2 + sum_k) // 2 - m) - b1 * (m * (m - 1) // 2)
-    return x1 + sum_carry + acc_a * sum_k + acc_b * m
-
-
-def mode_step_constants(kind: IndexKind) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """Per-step carry growth constants (slope1, icept1, slope2, icept2).
-
-    The carry grows by slope_m * k - icept_m when pentagon k+1 attaches in
-    mode m; these four numbers also drive the closed-form moment blocks.
-    """
-    _, _, a1, b1, a2, b2, _, _, scale = _REC[kind]
-    return (
-        Fraction(a1, scale),
-        Fraction(b1, scale),
-        Fraction(a2, scale),
-        Fraction(b2, scale),
-    )
+    return x1 + sum_carry + acc_a * sum_k + acc_b * m, a2 - a1, scale
 
 
 def t2_weights(n: int) -> np.ndarray:
@@ -215,31 +185,23 @@ def t2_of_blueprint(blueprint: ChainBlueprint) -> int:
 def affine_in_t2(kind: IndexKind, n: int) -> tuple[Fraction, Fraction]:
     """(base, slope) with index value = base + slope * T2.
 
-    base is the all-mode-1 value; flipping position k to mode 2 shifts the
-    final value by (slope2 - slope1) * k - (icept2 - icept1), felt on each of
-    the remaining n - k steps, i.e. by slope * (n-k)(k-1) since the slope and
-    intercept gaps coincide for every index.
+    base is the all-mode-1 value and slope the per-step gap between the two
+    attachment modes.
     """
-    x1, _, a1, b1, a2, b2, _, _, scale = _REC[kind]
-    if a2 - a1 != b2 - b1:  # the shared gap makes the shift (n-k)(k-1)-shaped
-        raise ArithmeticError(f"{kind.value}: mode slope and intercept gaps differ")
-    return Fraction(_mode1_total(kind, n), scale), Fraction(a2 - a1, scale)
+    base, slope, scale = _scaled_affine(kind, n)
+    return Fraction(base, scale), Fraction(slope, scale)
 
 
 def incremental_indices(blueprint: ChainBlueprint) -> IndexBundle:
-    """All six indices in O(n) without building the graph.
+    """All six indices in O(n) without building the graph: base + slope * T2.
 
     Exactly equals compute_indices on the structured matrices; the exhaustive
-    and randomized oracle tests enforce this.  Long chains use the affine
-    fast path, short ones the direct carry recurrence.
+    and randomized oracle tests enforce this.
     """
     n = blueprint.n
-    if n <= _SCALAR_LIMIT:
-        values = _scalar_totals(blueprint)
-    else:
-        t2 = t2_of_blueprint(blueprint)
-        values = {}
-        for kind in IndexKind:
-            base, slope = affine_in_t2(kind, n)
-            values[kind] = base + slope * t2
-    return IndexBundle(n=n, **{k.value: v for k, v in values.items()})
+    t2 = t2_of_blueprint(blueprint)
+    values = {}
+    for kind in IndexKind:
+        base, slope, scale = _scaled_affine(kind, n)
+        values[kind.value] = Fraction(base + slope * t2, scale)
+    return IndexBundle(n=n, **values)

@@ -35,6 +35,8 @@ from pentachain import (
     verify_engines,
 )
 
+from helpers import carry_indices
+
 M1 = AttachmentMode.MODE1
 M2 = AttachmentMode.MODE2
 P_GRID = (Fraction(1, 5), Fraction(1, 2), Fraction(4, 5))
@@ -46,11 +48,12 @@ def close(value, oracle):
 
 
 def sweep_moments(n, params):
-    """Exact enumeration moments of all four closed-form indices at once."""
+    """Exact enumeration moments of all four closed-form indices at once,
+    one blueprint at a time through the carry oracle."""
     mean = {k: Fraction(0) for k in MOMENT_INDICES}
     second = {k: Fraction(0) for k in MOMENT_INDICES}
     for bp, prob in enumerate_blueprints(n, params):
-        bundle = incremental_indices(bp)
+        bundle = carry_indices(bp)
         for k in MOMENT_INDICES:
             x = bundle.get(k)
             mean[k] += prob * x

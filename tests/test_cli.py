@@ -1,15 +1,20 @@
 """Command-line contract: formats, determinism, exit codes 0/2/3/4."""
 
+import contextlib
 import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 import pentachain.cli as cli
 import pentachain.report as report_mod
@@ -164,6 +169,7 @@ def test_laplacian_check_catches_one_corrupted_entry(monkeypatch):
         (["indices"], '{"n": 4, "choices": "M1M2"}'),
         (["indices"], '{"n": 1.5}'),
         (["report", "--nmax", "2", "--workers", "0"], None),
+        pytest.param(["indices"], "[" * 100_000 + "]" * 100_000, id="argv6-deep-array"),
     ],
 )
 def test_bad_input_exits_2_with_one_line(argv, stdin, monkeypatch, capsys):
@@ -172,6 +178,14 @@ def test_bad_input_exits_2_with_one_line(argv, stdin, monkeypatch, capsys):
     code, out, err = run(argv, capsys)
     assert code == 2
     assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_unwritable_out_exits_2_with_one_line(tmp_path, capsys):
+    target = tmp_path / "missing" / "x"
+    code, out, err = run(["generate", "--n", "2", "--out", str(target)], capsys)
+    assert code == 2
+    assert out == "" and not target.exists()
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
@@ -184,7 +198,7 @@ def test_bad_input_exits_2_with_one_line(argv, stdin, monkeypatch, capsys):
         ),
         (
             ["report", "--nmax", "9", "--p1", "0.3", "--format", "csv"],
-            "9c38c074e8f95618221df0e3fcac490daa667210",
+            "4e5ac0870ff0c863d85e6b697b798f6354d014d3",
         ),
     ],
 )
@@ -203,6 +217,16 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == 0 and proc.stderr == ""
     assert len(proc.stdout.splitlines()) == 17
+
+
+def test_import_leaves_scipy_out():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, pentachain; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=os.environ | {"PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 0 and proc.stdout == "False\n"
 
 
 def test_report_verification_passes(capsys):
@@ -298,6 +322,9 @@ def test_report_normality_validation(capsys):
     assert run(["report", "--normality", "--n", "2"], capsys)[0] == 2
     assert run(["report", "--normality", "--n", "10", "--p1", "0"], capsys)[0] == 2
     assert run(["report", "--normality", "--n", "10", "--samples", "0"], capsys)[0] == 2
+    argv = ["report", "--normality", "--n", "5", "--samples", "1", "--standardization", "sample"]
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == "" and err.startswith("error: ")
 
 
 def test_report_with_mc(capsys):
@@ -329,3 +356,96 @@ def test_parse_grid():
     for bad in ("m=1..5", "n=5..1", "n=0..3", "n=1-5"):
         with pytest.raises(ValueError):
             cli._parse_grid(bad)
+
+
+# Fuzzed invocations: every option of every command, with valid and invalid
+# values mixed, at sizes small enough for tier-1 (n <= 12, nmax <= 6,
+# samples <= 200, one worker).
+_P1 = st.sampled_from(
+    ["1/2", "1/3", "0.3", "0", "1", "1/0", "3/2", "-0.5", "nan", "x", "", "1/5,4/5", "0.5,2"]
+)
+_INT = st.one_of(st.integers(-2, 12).map(str), st.sampled_from(["", "x", "1.5"]))
+
+
+def _opt(name, values):
+    return st.one_of(st.just([]), values.map(lambda value: [name, value]))
+
+
+def _flag(name):
+    return st.sampled_from([[], [name]])
+
+
+_ARGV = st.one_of(
+    st.tuples(
+        st.just(["generate"]),
+        _opt("--n", _INT),
+        _opt("--p1", _P1),
+        _opt("--seed", st.integers(0, 9).map(str)),
+        _flag("--edges-only"),
+        _opt("--out", st.just(os.path.join(os.devnull, "out"))),
+    ),
+    st.tuples(st.just(["indices"]), _opt("--verify-cap", _INT)),
+    # argparse-valid values only, so that most report runs reach the command
+    st.tuples(
+        st.just(["report"]),
+        _opt("--nmax", st.integers(-1, 6).map(str)),
+        _opt("--n", st.integers(-2, 12).map(str)),
+        _opt("--p1", _P1),
+        _opt("--grid", st.sampled_from(["n=1..5", "n=3..3", "n=0..2", "n=4..2", "bogus"])),
+        _flag("--expect-only"),
+        _flag("--normality"),
+        _flag("--with-mc"),
+        _flag("--pretty"),
+        _opt("--samples", st.integers(-1, 200).map(str)),
+        _opt("--seed", st.integers(0, 9).map(str)),
+        _opt("--workers", st.sampled_from(["0", "1"])),
+        _opt("--cap", st.integers(-1, 12).map(str)),
+        _opt("--standardization", st.sampled_from(["closed-form", "sample"])),
+        _opt("--format", st.sampled_from(["json", "csv"])),
+    ),
+    st.lists(st.sampled_from(["frobnicate", "--help", "--n", "3", "report"]), max_size=3).map(
+        lambda words: (words,)
+    ),
+).map(lambda parts: [word for part in parts for word in part])
+
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 12)
+    | st.floats()
+    | st.sampled_from(["M1", "M2", "n", ""]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["n", "choices", "x"]), inner, max_size=3),
+    max_leaves=10,
+)
+_BLUEPRINT = st.integers(1, 12).flatmap(
+    lambda n: st.lists(
+        st.sampled_from(["M1", "M2"]), min_size=max(0, n - 2), max_size=max(0, n - 2)
+    ).map(lambda choices: {"n": n, "choices": choices})
+)
+_STDIN = st.one_of(_BLUEPRINT.map(json.dumps), _JSON.map(json.dumps), st.text(max_size=12))
+
+
+@given(argv=_ARGV, stdin=_STDIN)
+@settings(max_examples=60, deadline=None)
+def test_fuzzed_invocations_keep_the_exit_contract(argv, stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with (
+        mock.patch.object(sys, "stdin", io.StringIO(stdin)),
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(err),
+        warnings.catch_warnings(record=True) as caught,
+    ):
+        warnings.simplefilter("always")
+        code = main(argv)
+    err = err.getvalue()
+    assert code in (0, 2, 3, 4)
+    assert not caught  # a warning would reach stderr outside the test runner
+    if code == 0:
+        assert err == ""
+    elif err.startswith("usage: "):
+        # argparse's own usage line(s) and its error line
+        assert code == 2 and ": error: " in err.splitlines()[-1]
+    else:
+        assert code == 2 and out.getvalue() == ""
+        assert err.startswith("error: ") and err.count("\n") == 1

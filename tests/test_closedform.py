@@ -86,14 +86,50 @@ def test_registry_covers_the_biased_indices():
         assert d.evidence and d.reference_form != d.verified_form
 
 
+# The verified expectation cubics as {power: (c0, c1)}, c0 + c1 * p1 the n**power
+# coefficient: the distance indices agree with the reference tables, and
+# reference minus verified is 48(n-1) for kf_star and 24 p1 (n-1)(n-2) for
+# kf_plus.
+VERIFIED_CUBICS = {
+    IndexKind.GUTMAN: {
+        3: (Fraction(72), Fraction(-24)),
+        2: (Fraction(-12), Fraction(72)),
+        1: (Fraction(1), Fraction(-48)),
+        0: (Fraction(-1), Fraction(0)),
+    },
+    IndexKind.SCHULTZ: {
+        3: (Fraction(60), Fraction(-20)),
+        2: (Fraction(7), Fraction(60)),
+        1: (Fraction(-7), Fraction(-40)),
+        0: (Fraction(0), Fraction(0)),
+    },
+    IndexKind.KF_STAR: {
+        3: (Fraction(264, 5), Fraction(-48, 5)),
+        2: (Fraction(-12, 5), Fraction(144, 5)),
+        1: (Fraction(-47, 5), Fraction(-96, 5)),
+        0: (Fraction(-1), Fraction(0)),
+    },
+    IndexKind.KF_PLUS: {
+        3: (Fraction(44), Fraction(-8)),
+        2: (Fraction(11), Fraction(24)),
+        1: (Fraction(-15), Fraction(-16)),
+        0: (Fraction(0), Fraction(0)),
+    },
+}
+
+
 @pytest.mark.parametrize("index", MOMENT_INDICES)
 def test_fitted_coefficients_reproduce_verified_table(index):
     fitted = fitted_expectation_coefficients(index)
+    assert list(fitted.items()) == list(VERIFIED_CUBICS[index].items())
+    assert fitted_expectation_coefficients(index) is fitted  # fitted once
+    with pytest.raises(TypeError):
+        fitted[3] = (Fraction(0), Fraction(0))  # shared, so read-only
     for n in range(1, 9):
         for p in (Fraction(0), Fraction(2, 7), Fraction(1)):
             value = sum(
                 (c0 + c1 * p) * Fraction(n) ** power
-                for power, (c0, c1) in fitted.items()
+                for power, (c0, c1) in VERIFIED_CUBICS[index].items()
             )
             assert value == expected_index(index, n, p)
 
@@ -130,11 +166,11 @@ def test_variance_nonnegative_on_fine_grid():
 
 
 def test_variance_leading_order():
-    # degree-5 growth: Var ~ sigma2 * n^5 / 30
+    # quintic growth: Var ~ step_variance * n^5 / 30
     n = 10**4
     for index in MOMENT_INDICES:
         params = moment_params(index, 0.3)
-        ratio = variance_index(index, n, 0.3) / (params.sigma2 * n**5 / 30)
+        ratio = variance_index(index, n, 0.3) / (params.step_variance * n**5 / 30)
         assert abs(ratio - 1) < 0.02
 
 
@@ -143,10 +179,7 @@ def test_moment_params_structure(index):
     p = Fraction(2, 5)
     params = moment_params(index, p)
     assert params.index is index
-    spread = p * (1 - p) * GAPS[index] ** 2
-    assert params.sigma2 == spread
-    assert params.sigma2_tilde == spread
-    assert params.r == spread
+    assert params.step_variance == p * (1 - p) * GAPS[index] ** 2
 
 
 @given(st.floats(0.0, 1.0, allow_nan=False))
@@ -154,12 +187,9 @@ def test_moment_params_structure(index):
 def test_moment_params_bounds(p):
     for index in MOMENT_INDICES:
         params = moment_params(index, p)
-        assert params.sigma2 >= 0 and params.sigma2_tilde >= 0
-        # Cauchy-Schwarz for the step covariances, up to float roundoff
-        bound = params.sigma2 * params.sigma2_tilde
-        assert params.r**2 <= bound + 1e-9 * max(1.0, bound)
+        assert params.step_variance >= 0
         if p in (0.0, 1.0):
-            assert params.sigma2 == params.sigma2_tilde == params.r == 0
+            assert params.step_variance == 0
 
 
 def test_sequence_values():
@@ -256,6 +286,15 @@ def test_float_path_matches_exact():
         assert math.isclose(expected_index(index, 9, 0.3), float(exact), rel_tol=1e-12)
         exact_var = variance_index(index, 9, Fraction(3, 10))
         assert math.isclose(variance_index(index, 9, 0.3), float(exact_var), rel_tol=1e-12)
+
+
+def test_float_variance_is_the_exact_value_rounded_once():
+    for index in MOMENT_INDICES:
+        for n in (3, 4, 9, 30, 1000):
+            for i in range(1, 20):
+                p = i / 20
+                exact = variance_index(index, n, Fraction(p))
+                assert variance_index(index, n, p) == float(exact)
 
 
 def test_moment_index_validation():

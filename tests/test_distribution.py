@@ -2,12 +2,12 @@
 
 import math
 from fractions import Fraction
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
-from scipy.special import ndtri
 
 import pentachain.distribution as distribution
 from pentachain import (
@@ -121,6 +121,17 @@ def test_sampling_refuses_int64_overflow():
         sample_values(IndexKind.GUTMAN, n, 0.5, 10, 0)
 
 
+@pytest.mark.parametrize(
+    "n, p1, count",
+    [(0, 0.5, 3), (-4, 0.5, 3), (6, 1.5, 3), (6, -0.1, 3), (6, math.nan, 3), (6, 0.5, 0)],
+)
+def test_sampling_rejects_bad_arguments(n, p1, count):
+    with pytest.raises(ValueError):
+        monte_carlo(IndexKind.GUTMAN, n, p1, count, 0)
+    with pytest.raises(ValueError):
+        sample_values(IndexKind.GUTMAN, n, p1, count, 0)
+
+
 def test_distribution_validation():
     with pytest.raises(ValueError):
         exact_distribution(IndexKind.GUTMAN, 0, Fraction(1, 2))
@@ -220,7 +231,7 @@ def test_ks_statistic_hand_values():
     assert ks_statistic([0.0]) == 0.5
     # quantile grid z_i = Phi^{-1}((i - 1/2) / m) realizes the minimum 1/(2m)
     m = 1000
-    grid = ndtri((np.arange(1, m + 1) - 0.5) / m)
+    grid = [NormalDist().inv_cdf((i - 0.5) / m) for i in range(1, m + 1)]
     assert math.isclose(ks_statistic(grid), 0.5 / m, rel_tol=1e-9)
 
 
@@ -231,6 +242,11 @@ def test_normality_refusals():
         normality_test(IndexKind.GUTMAN, 10, 0.0, 100, 0)
     with pytest.raises(ValueError):
         normality_test(IndexKind.GUTMAN, 10, 1.0, 100, 0)
+    # sample standardization has no spread to divide by: one draw, or two
+    # equal draws (seed 0 draws 1838 twice at n = 3)
+    for count in (1, 2):
+        with pytest.raises(ValueError, match="two distinct draws"):
+            normality_test(IndexKind.GUTMAN, 3, 0.5, count, 0, Standardization.SAMPLE)
 
 
 def test_normality_far_from_normal_at_small_n():

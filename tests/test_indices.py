@@ -23,11 +23,12 @@ from pentachain import (
     enumerate_blueprints,
     incremental_indices,
     laplacian_resistance,
-    mode_step_constants,
     structured_metrics,
     t2_of_blueprint,
     t2_weights,
 )
+
+from helpers import carry_indices
 
 M1 = AttachmentMode.MODE1
 M2 = AttachmentMode.MODE2
@@ -89,7 +90,9 @@ def test_exhaustive_engine_equality():
     p = ProbabilityParams(Fraction(1, 2))
     for n in range(1, 7):
         for bp, _ in enumerate_blueprints(n, p):
-            assert matrix_indices(bp) == incremental_indices(bp)
+            matrix = matrix_indices(bp)
+            assert matrix == incremental_indices(bp)
+            assert matrix == carry_indices(bp)
 
 
 @given(
@@ -127,6 +130,11 @@ def test_bundle_json_round_trip():
 
 
 def test_mode_step_constants():
+    # per-step carry growth (slope1, icept1, slope2, icept2) of the recurrence table
+    def mode_step_constants(kind):
+        _, _, a1, b1, a2, b2, _, _, scale = indices_mod._REC[kind]
+        return tuple(Fraction(v, scale) for v in (a1, b1, a2, b2))
+
     assert mode_step_constants(IndexKind.GUTMAN) == (288, 156, 432, 300)
     assert mode_step_constants(IndexKind.KF_STAR) == (
         Fraction(1296, 5),
@@ -174,14 +182,13 @@ def test_affine_representation_exhaustive():
 
 
 def test_scalar_and_affine_paths_agree():
-    # the recurrence walks step by step for short chains and jumps through
-    # the affine form for long ones; pin one value computed both ways
-    bp = ChainBlueprint(n=40, choices=(M1, M2) * 19)
-    bundle = incremental_indices(bp)
-    for kind in IndexKind:
-        base, slope = affine_in_t2(kind, 40)
-        assert bundle.get(kind) == base + slope * t2_of_blueprint(bp)
-    assert bundle == matrix_indices(bp)
+    # the carry recurrence walked step by step (test oracle) against the
+    # affine-in-T2 engine, on a short chain and past the old walk's range
+    for n in (40, 5000):
+        bp = ChainBlueprint(n=n, choices=(M1, M2) * ((n - 2) // 2))
+        assert incremental_indices(bp) == carry_indices(bp)
+    short = ChainBlueprint(n=40, choices=(M1, M2) * 19)
+    assert incremental_indices(short) == matrix_indices(short)
 
 
 def test_long_chain_values_are_exact():
