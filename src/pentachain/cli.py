@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -77,7 +78,9 @@ class RunConfig:
         return cls(**json.loads(text))
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parse_args keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="pentachain",
         description="random pentagonal chains: generation, indices, moment reports",

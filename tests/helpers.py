@@ -1,6 +1,9 @@
 """Shared exact oracles for the test suite."""
 
+from collections import deque
 from fractions import Fraction
+
+import numpy as np
 
 from pentachain import AttachmentMode, IndexBundle, IndexKind, enumerate_blueprints
 from pentachain.indices import _REC
@@ -53,3 +56,26 @@ def enumeration_moments(index: IndexKind, n: int, p) -> tuple[Fraction, Fraction
     """Exact (mean, variance) of one index by weighted exhaustive sweep."""
     _, mean, variance = enumeration_laws(n, p)[index]
     return mean, variance
+
+
+def bfs_distances(graph) -> np.ndarray:
+    """All-pairs hop distances by a textbook queue BFS from each source.
+
+    Reads only graph.adjacency and walks one source at a time, so it shares
+    nothing with the level-synchronous numpy search in bfs_all_pairs.
+    Unreachable pairs stay -1.
+    """
+    adjacency = graph.adjacency
+    rows = []
+    for source in range(len(adjacency)):
+        row = [-1] * len(adjacency)
+        row[source] = 0
+        queue = deque([source])
+        while queue:
+            u = queue.popleft()
+            for w in adjacency[u]:
+                if row[w] < 0:
+                    row[w] = row[u] + 1
+                    queue.append(w)
+        rows.append(row)
+    return np.array(rows, dtype=np.int64).reshape(len(adjacency), len(adjacency))

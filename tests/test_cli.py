@@ -208,6 +208,40 @@ def test_report_stdout_is_golden(argv, sha1, capsys):
     assert hashlib.sha1(out.encode()).hexdigest() == sha1
 
 
+@pytest.fixture
+def chain24(tmp_path):
+    """A fixed n = 24 chain, the longest that indices cross-checks by default."""
+    path = tmp_path / "chain24.json"
+    path.write_text(json.dumps({"n": 24, "choices": ["M1", "M2", "M1"] * 7 + ["M1"]}))
+    return str(path)
+
+
+def test_indices_stdout_is_golden(chain24, capsys):
+    code, out, _ = run(["indices", "--blueprint", chain24], capsys)
+    assert code == 0
+    assert out == (
+        '{"n": 24, "wiener": "141820/1", "gutman": "793751/1", '
+        '"schultz": "671064/1", "kirchhoff": "115980/1", '
+        '"kf_star": "650423/1", "kf_plus": "549336/1"}\n'
+    )
+
+
+def test_cached_parser_keeps_no_state_between_calls(chain24, capsys):
+    assert main(["report", "--pretty", "--nmax", "2"]) == 0
+    assert main(["indices", "--blueprint", chain24]) == 0
+    capsys.readouterr()
+    assert main(["report", "--nmax", "2"]) == 0
+    in_process = capsys.readouterr().out
+    assert cli._build_parser() is cli._build_parser()
+    fresh = subprocess.run(
+        [sys.executable, "-m", "pentachain", "report", "--nmax", "2"],
+        capture_output=True,
+        env=os.environ | {"PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert fresh.returncode == 0
+    assert in_process.encode() == fresh.stdout
+
+
 def test_python_dash_m_runs_the_cli():
     proc = subprocess.run(
         [sys.executable, "-m", "pentachain", "generate", "--n", "3", "--edges-only"],

@@ -10,14 +10,19 @@ from pentachain import (
     AttachmentMode,
     ChainBlueprint,
     MetricKind,
+    PentagonChainGraph,
+    all_mode_blueprint,
     bfs_all_pairs,
     build_graph,
     enumerate_blueprints,
     graph_metrics,
     laplacian_resistance,
+    sample_blueprint,
     structured_metrics,
     ProbabilityParams,
 )
+
+from helpers import bfs_distances
 
 M1 = AttachmentMode.MODE1
 M2 = AttachmentMode.MODE2
@@ -111,3 +116,98 @@ def test_total_counts_unordered_pairs():
         dist.entry(u, v) for u, v in itertools.combinations(range(5), 2)
     )
     assert by_hand == 15
+
+
+def hand_built(adjacency):
+    """A graph object carrying only an adjacency; its blueprint is a lone
+    pentagon, which the adjacency-only engines must ignore."""
+    return PentagonChainGraph(
+        n=1,
+        blueprint=PENTAGON,
+        adjacency=tuple(tuple(sorted(nbrs)) for nbrs in adjacency),
+        bridges=(),
+    )
+
+
+def assert_bfs_matches_oracle(g):
+    dist = bfs_all_pairs(g)
+    assert dist.data.dtype == np.int64 and dist.denominator == 1
+    assert np.array_equal(dist.data, bfs_distances(g))
+
+
+def test_bfs_matches_queue_oracle_on_every_short_chain():
+    for bp in small_blueprints(7):
+        assert_bfs_matches_oracle(build_graph(bp))
+
+
+def test_bfs_matches_queue_oracle_on_random_chains():
+    rng = np.random.Generator(np.random.PCG64(2024))
+    p = ProbabilityParams(Fraction(1, 3))
+    for _ in range(30):
+        assert_bfs_matches_oracle(build_graph(sample_blueprint(int(rng.integers(1, 61)), p, rng)))
+
+
+def test_bfs_matches_queue_oracle_on_longest_chain():
+    assert_bfs_matches_oracle(build_graph(all_mode_blueprint(200, M2)))
+
+
+def test_chain_graphs_have_unique_shortest_paths():
+    # bfs_all_pairs does no work twice only because of this: from any source,
+    # every other vertex has exactly one neighbour one step nearer
+    for bp in small_blueprints(7):
+        g = build_graph(bp)
+        dist = bfs_distances(g)
+        for v, nbrs in enumerate(g.adjacency):
+            nearer = (dist[:, list(nbrs)] == dist[:, [v]] - 1).sum(axis=1)
+            assert np.array_equal(nearer, np.arange(len(dist)) != v)
+
+
+def test_bfs_matches_queue_oracle_on_a_grid():
+    # a 3 x 4 grid is not a chain graph: its 4-cycles give pairs several
+    # shortest paths, so frontier cells repeat and the distances must not move
+    rows, cols = 3, 4
+    adjacency = [[] for _ in range(rows * cols)]
+    for r in range(rows):
+        for c in range(cols):
+            u = r * cols + c
+            for v in ([u + 1] if c + 1 < cols else []) + ([u + cols] if r + 1 < rows else []):
+                adjacency[u].append(v)
+                adjacency[v].append(u)
+    g = hand_built(adjacency)
+    assert_bfs_matches_oracle(g)
+    # grid distance is the Manhattan distance
+    r, c = np.divmod(np.arange(rows * cols), cols)
+    manhattan = np.abs(r[:, None] - r[None, :]) + np.abs(c[:, None] - c[None, :])
+    assert np.array_equal(bfs_all_pairs(g).data, manhattan)
+
+
+def test_bfs_refuses_a_disconnected_graph():
+    two_triangles = [(1, 2), (0, 2), (0, 1), (4, 5), (3, 5), (3, 4)]
+    with pytest.raises(ValueError, match="not connected"):
+        bfs_all_pairs(hand_built(two_triangles))
+
+
+def laplacian_adjacency_by_rows(g):
+    """The Laplacian engine's dense adjacency, built one row at a time."""
+    V = g.vertex_count
+    adj = np.zeros((V, V), dtype=np.float64)
+    for u, nbrs in enumerate(g.adjacency):
+        adj[u, list(nbrs)] = 1.0
+    return adj
+
+
+@pytest.mark.parametrize(
+    "bp",
+    [PENTAGON, ChainBlueprint(n=5, choices=(M1, M2, M1)), all_mode_blueprint(30, M2)],
+    ids=lambda b: f"n{b.n}",
+)
+def test_laplacian_is_bit_identical_to_the_row_by_row_build(bp):
+    g = build_graph(bp)
+    adj = laplacian_adjacency_by_rows(g)
+    lap = np.diag(adj.sum(axis=1)) - adj
+    M = np.linalg.inv(lap + 1.0 / g.vertex_count)
+    d = np.diag(M)
+    res = d[:, None] + d[None, :] - 2.0 * M
+    res = (res + res.T) / 2.0
+    np.fill_diagonal(res, 0.0)
+    assert np.array_equal(laplacian_resistance(g).data, res)
