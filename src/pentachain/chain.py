@@ -267,9 +267,12 @@ def enumeration_cap(override: int | None = None) -> int:
     if override is not None:
         return override
     env = os.environ.get("PENTACHAIN_ENUM_CAP")
-    if env is not None:
+    if env is None:
+        return DEFAULT_ENUM_CAP
+    try:
         return int(env)
-    return DEFAULT_ENUM_CAP
+    except ValueError:
+        raise ValueError(f"PENTACHAIN_ENUM_CAP must be an integer, got {env!r}") from None
 
 
 def enumerate_blueprints(

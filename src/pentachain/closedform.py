@@ -27,6 +27,8 @@ double precision otherwise.
 
 from __future__ import annotations
 
+import math
+import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
@@ -225,13 +227,39 @@ def _coerce_p1(p1):
     return value, exact
 
 
-def _eval_poly(poly, n, p1, exact):
-    total = F(0) if exact else 0.0
-    for power, (c0, c1) in poly.items():
-        if exact:
-            total += (c0 + c1 * p1) * Fraction(n) ** power
-        else:
-            total += (float(c0) + float(c1) * p1) * float(n) ** power
+@cache
+def _poly_forms(source, kind):
+    """One {power: (c0, c1)} table in both evaluation forms, built once.
+
+    kind is an IndexKind (expectation cubic) or a SequenceKind.  Returns
+    (float terms, integer terms, common denominator): the float terms are
+    (power, float(c0), float(c1)) in table order; the integer terms are
+    (power, c0 * den, c1 * den) with den the least common denominator of
+    every coefficient.
+    """
+    if isinstance(kind, SequenceKind):
+        poly = _SEQUENCE[source][kind]
+    elif source is Source.REFERENCE:
+        poly = _EXPECTATION_REFERENCE[kind]
+    else:
+        poly = fitted_expectation_coefficients(kind)
+    den = math.lcm(*(c.denominator for pair in poly.values() for c in pair))
+    floats = tuple((power, float(c0), float(c1)) for power, (c0, c1) in poly.items())
+    ints = tuple(
+        (power, int(c0 * den), int(c1 * den)) for power, (c0, c1) in poly.items()
+    )
+    return floats, ints, den
+
+
+def _eval_poly(source, kind, n, p1, exact):
+    floats, ints, den = _poly_forms(source, kind)
+    if exact:
+        # sum (c0 + c1 * a/b) * n**power over the common denominator den * b
+        a, b = p1.numerator, p1.denominator
+        return Fraction(sum((c0 * b + c1 * a) * n**power for power, c0, c1 in ints), den * b)
+    total = 0.0
+    for power, c0, c1 in floats:
+        total += (c0 + c1 * p1) * float(n) ** power
     return total
 
 
@@ -252,33 +280,40 @@ def expected_index(index, n, p1, source=Source.VERIFIED):
         REFERENCE the verbatim reference table.
     """
     _require_moment_index(index)
+    n = operator.index(n)
     if n < 1:
         raise ValueError("n must be >= 1")
     value, exact = _coerce_p1(p1)
-    if source is Source.REFERENCE:
-        poly = _EXPECTATION_REFERENCE[index]
-    else:
-        poly = fitted_expectation_coefficients(index)
-    return _eval_poly(poly, n, value, exact)
+    return _eval_poly(source, index, n, value, exact)
 
 
 def sequence_values(kind, n, p1, source=Source.VERIFIED):
     """Expected load of the open attachment vertex (sequences A to D)."""
     if not isinstance(kind, SequenceKind):
         kind = SequenceKind(str(kind).upper())
+    n = operator.index(n)
     if n < 1:
         raise ValueError("n must be >= 1")
     value, exact = _coerce_p1(p1)
-    return _eval_poly(_SEQUENCE[source][kind], n, value, exact)
+    return _eval_poly(source, kind, n, value, exact)
 
 
-def _exact_step_variance(index, p1) -> tuple[Fraction, bool]:
-    """(p1(1-p1) * slope**2 at the exact value of p1, whether p1 was exact)."""
+@cache
+def _squared_slope(index) -> tuple[int, int]:
+    """slope**2 of one index as (numerator, denominator)."""
+    _, slope = affine_in_t2(index, 1)  # the slope does not depend on n
+    return slope.numerator**2, slope.denominator**2
+
+
+def _exact_step_variance(index, p1) -> tuple[int, int, bool]:
+    """p1(1-p1) * slope**2 at the exact value of p1 = a/b, as integers
+    (numerator, denominator), and whether p1 was exact."""
     _require_moment_index(index)
     value, exact = _coerce_p1(p1)
     p = Fraction(value)
-    _, slope = affine_in_t2(index, 1)  # the slope does not depend on n
-    return p * (1 - p) * slope * slope, exact
+    a, b = p.numerator, p.denominator
+    s_num, s_den = _squared_slope(index)
+    return a * (b - a) * s_num, b * b * s_den, exact
 
 
 def moment_params(index, p1) -> MomentParams:
@@ -287,8 +322,8 @@ def moment_params(index, p1) -> MomentParams:
     Vanishes at p1 in {0, 1}.  Exact when p1 is rational; float p1 gives the
     float nearest the exact value at Fraction(p1).
     """
-    step, exact = _exact_step_variance(index, p1)
-    return MomentParams(index=index, step_variance=step if exact else float(step))
+    num, den, exact = _exact_step_variance(index, p1)
+    return MomentParams(index=index, step_variance=Fraction(num, den) if exact else num / den)
 
 
 def variance_index(index, n, p1):
@@ -298,14 +333,16 @@ def variance_index(index, n, p1):
     variance is step_variance * sum_k w_k**2 with
     sum_k w_k**2 = n(n-1)(n-2)((n-1)**2 + 1) / 30.  Zero for n <= 2 (the
     chain is deterministic) and at p1 in {0, 1}.  Computed in exact
-    rationals; float p1 is converted through Fraction(p1) and the result
-    rounded once.
+    integers over one denominator; float p1 is converted through
+    Fraction(p1) and the result rounded once.
     """
+    n = operator.index(n)
     if n < 1:
         raise ValueError("n must be >= 1")
-    step, exact = _exact_step_variance(index, p1)
-    variance = step * (n * (n - 1) * (n - 2) * ((n - 1) ** 2 + 1) // 30)
-    return variance if exact else float(variance)
+    num, den, exact = _exact_step_variance(index, p1)
+    num *= n * (n - 1) * (n - 2) * ((n - 1) ** 2 + 1) // 30
+    # int / int rounds once, to the float nearest the exact quotient
+    return Fraction(num, den) if exact else num / den
 
 
 def interpolate_polynomial(points, degree):

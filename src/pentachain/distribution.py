@@ -3,7 +3,8 @@
 The exact side gives the full law of an index over all 2^(n-2) chains of a
 given length with rational probabilities, the oracle moments for the closed
 forms.  Every index is base + slope * T2, so one dynamic program over the
-exact law of T2 replaces a sweep over the chains themselves.  The sampling
+exact law of T2 replaces a sweep over the chains themselves, and one run of
+it serves every index at a given (n, p1).  The sampling
 side draws chains with a splittable counter-based RNG laid out as 64 fixed
 logical streams: stream s is seeded with
 SeedSequence(masterSeed, spawn_key=(s,)) and owns the sample indices
@@ -21,10 +22,10 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -54,14 +55,38 @@ def _as_float_p1(p1) -> float:
 
 @dataclass(frozen=True)
 class ExactDistribution:
-    """Full law of one index over all chains of n pentagons, exact."""
+    """Full law of one index over all chains of n pentagons, exact.
+
+    law is the law of T2 that every index shares at one (n, p1): pairs
+    (T2 value, integer numerator over b^(n-2) for p1 = a/b), ascending in T2
+    and without zero masses.  t2_mean and t2_variance are its moments, so the
+    index moments are base + slope * t2_mean and slope^2 * t2_variance.
+    for_index maps the same law to another index without rerunning the
+    dynamic program; support, the (value, probability) Fraction pairs, is
+    built on first read.
+    """
 
     index: IndexKind
     n: int
     p1: Fraction
-    support: tuple[tuple[Fraction, Fraction], ...]
+    law: tuple[tuple[int, int], ...]
+    t2_mean: Fraction
+    t2_variance: Fraction
     mean: Fraction
     variance: Fraction
+
+    @cached_property
+    def support(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        base, slope = affine_in_t2(self.index, self.n)
+        # values over the common denominator; every slope is positive, so they ascend
+        scale = base.denominator * slope.denominator
+        v0, dv = base.numerator * slope.denominator, slope.numerator * base.denominator
+        denom = self.p1.denominator ** max(0, self.n - 2)
+        return tuple([(Fraction(v0 + dv * t, scale), Fraction(c, denom)) for t, c in self.law])
+
+    def for_index(self, index: IndexKind) -> "ExactDistribution":
+        """The law of another index at the same (n, p1), from the same T2 law."""
+        return _index_law(index, self.n, self.p1, self.law, self.t2_mean, self.t2_variance)
 
     def to_csv(self) -> str:
         lines = ["value,probability"]
@@ -73,12 +98,28 @@ class ExactDistribution:
         return "\n".join(lines) + "\n"
 
 
+def _index_law(index, n, p1, law, t2_mean, t2_variance) -> ExactDistribution:
+    base, slope = affine_in_t2(index, n)
+    return ExactDistribution(
+        index=index,
+        n=n,
+        p1=p1,
+        law=law,
+        t2_mean=t2_mean,
+        t2_variance=t2_variance,
+        mean=base + slope * t2_mean,
+        variance=slope * slope * t2_variance,
+    )
+
+
 def exact_distribution(index: IndexKind, n: int, p1, cap: int | None = None) -> ExactDistribution:
     """Exact distribution of one index over all 2^(n-2) chains of length n.
 
     The index is base + slope * T2.  With p1 = a/b, the law of T2 has integer
     numerators over b^(n-2) from one pass num <- a*num + (b-a)*shift(num, w_k)
-    over k = 2..n-1, and the moments come from integer sums over T2.  p1 is
+    over k = 2..n-1, and its moments come from integer sums over T2.  That
+    law is the same for every index: call for_index on the result for the
+    other indices at this (n, p1) rather than running the pass again.  p1 is
     used exactly: float input is converted through Fraction(float), so
     probabilities always sum to exactly 1.  Raises ValueError when n exceeds
     the enumeration cap.
@@ -104,22 +145,18 @@ def exact_distribution(index: IndexKind, n: int, p1, cap: int | None = None) -> 
         num[: hi + w + 1] *= a
         num[w : hi + w + 1] += shifted
         hi += w
-    law = [(t, c) for t, c in enumerate(num.tolist()) if c]
+    # a list first: tuple() of a generator grows its result by realloc, and
+    # CPython then parks each discarded short law in its tuple free lists
+    # (up to 2000 per length below 20) until a full garbage collection
+    law = tuple([(t, c) for t, c in enumerate(num.tolist()) if c])
     denom = b ** max(0, n - 2)
     if sum(c for _, c in law) != denom:
         raise ArithmeticError(f"T2 law at n={n}, p1={p1} does not sum to 1")
-    base, slope = affine_in_t2(index, n)
-    # values over the common denominator; every slope is positive, so they ascend
-    scale = base.denominator * slope.denominator
-    v0, dv = base.numerator * slope.denominator, slope.numerator * base.denominator
-    support = tuple((Fraction(v0 + dv * t, scale), Fraction(c, denom)) for t, c in law)
     s1 = sum(t * c for t, c in law)
     s2 = sum(t * t * c for t, c in law)
-    mean = base + slope * Fraction(s1, denom)
-    variance = slope * slope * Fraction(s2 * denom - s1 * s1, denom * denom)
-    return ExactDistribution(
-        index=index, n=n, p1=exact, support=support, mean=mean, variance=variance
-    )
+    t2_mean = Fraction(s1, denom)
+    t2_variance = Fraction(s2 * denom - s1 * s1, denom * denom)
+    return _index_law(index, n, exact, law, t2_mean, t2_variance)
 
 
 @dataclass(frozen=True)
@@ -270,6 +307,10 @@ def monte_carlo(
         for s in range(min(_STREAMS, sample_count))
     ]
     if workers > 1:
+        # imported here: the process pool pulls in multiprocessing, about 2 MB
+        # of resident memory that single-worker runs never use
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_stream_stats, tasks))
     else:

@@ -181,6 +181,14 @@ def test_bad_input_exits_2_with_one_line(argv, stdin, monkeypatch, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_bad_enumeration_cap_variable_exits_2_naming_it(monkeypatch, capsys):
+    monkeypatch.setenv("PENTACHAIN_ENUM_CAP", "x")
+    code, out, err = run(["report", "--nmax", "2"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: PENTACHAIN_ENUM_CAP must be an integer, got 'x'\n"
+
+
 def test_unwritable_out_exits_2_with_one_line(tmp_path, capsys):
     target = tmp_path / "missing" / "x"
     code, out, err = run(["generate", "--n", "2", "--out", str(target)], capsys)
@@ -253,9 +261,31 @@ def test_python_dash_m_runs_the_cli():
     assert len(proc.stdout.splitlines()) == 17
 
 
+def test_optimized_interpreter_prints_the_same_report():
+    # the report's checks raise, so `python -O` (no asserts) changes nothing
+    argv = ["-m", "pentachain", "report", "--nmax", "8", "--p1", "1/5,1/2"]
+    env = os.environ | {"PYTHONPATH": os.pathsep.join(sys.path)}
+    plain = subprocess.run([sys.executable, *argv], capture_output=True, env=env)
+    optimized = subprocess.run([sys.executable, "-O", *argv], capture_output=True, env=env)
+    assert plain.returncode == optimized.returncode == 0
+    assert plain.stdout and optimized.stdout == plain.stdout
+
+
 def test_import_leaves_scipy_out():
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, pentachain; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=os.environ | {"PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 0 and proc.stdout == "False\n"
+
+
+def test_import_leaves_the_process_pool_out():
+    # multiprocessing loads only when monte_carlo runs more than one worker
+    code = "import sys, pentachain; print('multiprocessing' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
         capture_output=True,
         text=True,
         env=os.environ | {"PYTHONPATH": os.pathsep.join(sys.path)},

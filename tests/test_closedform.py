@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -13,7 +14,9 @@ from pentachain import (
     AttachmentMode,
     IndexKind,
     ProbabilityParams,
+    SequenceKind,
     Source,
+    affine_in_t2,
     all_mode_blueprint,
     build_graph,
     discrepancies_for,
@@ -25,9 +28,11 @@ from pentachain import (
     moment_params,
     sequence_values,
     structured_metrics,
+    t2_weights,
     variance_index,
     vertex_id,
 )
+from pentachain.closedform import _EXPECTATION_REFERENCE, _SEQUENCE
 
 from helpers import enumeration_moments
 
@@ -295,6 +300,78 @@ def test_float_variance_is_the_exact_value_rounded_once():
                 p = i / 20
                 exact = variance_index(index, n, Fraction(p))
                 assert variance_index(index, n, p) == float(exact)
+
+
+EXACT_P1 = [0, 1, Fraction(1, 7), Fraction(4, 5), Fraction(0.3)]
+FLOAT_P1 = [0.0, 1.0, 1 / 7, 0.8, 0.3, 0.37]
+
+
+def _tables():
+    """(function, kind, source, {power: (c0, c1)} table) for every evaluated table."""
+    for index in MOMENT_INDICES:
+        yield expected_index, index, Source.REFERENCE, _EXPECTATION_REFERENCE[index]
+        yield expected_index, index, Source.VERIFIED, fitted_expectation_coefficients(index)
+    for kind in SequenceKind:
+        for source in Source:
+            yield sequence_values, kind, source, _SEQUENCE[source][kind]
+
+
+def _fraction_terms(poly, n, p):
+    return sum((c0 + c1 * p) * Fraction(n) ** power for power, (c0, c1) in poly.items())
+
+
+def _float_loop(poly, n, p1):
+    # reference: one float term per table entry, in table order
+    total = 0.0
+    for power, (c0, c1) in poly.items():
+        total += (float(c0) + float(c1) * p1) * float(n) ** power
+    return total
+
+
+def _float_variance(index, n, p1):
+    # reference: the exact Fraction value at Fraction(p1), rounded once
+    p = Fraction(p1)
+    _, slope = affine_in_t2(index, 1)
+    step = p * (1 - p) * slope * slope
+    return float(step * (n * (n - 1) * (n - 2) * ((n - 1) ** 2 + 1) // 30)), float(step)
+
+
+def test_exact_closed_forms_equal_term_by_term_fractions():
+    for fn, kind, source, poly in _tables():
+        for p in EXACT_P1:
+            for n in range(1, 61):
+                value = fn(kind, n, p, source)
+                assert type(value) is Fraction
+                assert value == _fraction_terms(poly, n, Fraction(p))
+    for index in MOMENT_INDICES:
+        _, slope = affine_in_t2(index, 1)
+        for p in map(Fraction, EXACT_P1):
+            assert moment_params(index, p).step_variance == p * (1 - p) * slope**2
+            for n in range(1, 61):
+                sum_w2 = sum(w * w for w in t2_weights(n).tolist())
+                assert variance_index(index, n, p) == p * (1 - p) * slope**2 * sum_w2
+
+
+def test_float_closed_forms_are_the_float_loop_bit_for_bit():
+    for fn, kind, source, poly in _tables():
+        for p in FLOAT_P1:
+            for n in range(1, 61):
+                assert fn(kind, n, p, source).hex() == _float_loop(poly, n, p).hex()
+    for index in MOMENT_INDICES:
+        for p in FLOAT_P1:
+            assert moment_params(index, p).step_variance.hex() == _float_variance(index, 3, p)[1].hex()
+            for n in range(1, 61):
+                assert variance_index(index, n, p).hex() == _float_variance(index, n, p)[0].hex()
+
+
+def test_numpy_integer_n_stays_exact():
+    # the integer forms must not fall into int64 arithmetic and wrap
+    n = 10**6
+    for index in MOMENT_INDICES:
+        for fn in (expected_index, variance_index):
+            assert fn(index, np.int64(n), Fraction(1, 3)) == fn(index, n, Fraction(1, 3))
+    with pytest.raises(TypeError):
+        expected_index(IndexKind.GUTMAN, 3.0, Fraction(1, 2))
 
 
 def test_moment_index_validation():

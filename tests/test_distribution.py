@@ -91,6 +91,23 @@ def test_bulk_path_matches_enumeration():
                 assert d.mean == mean and d.variance == variance
 
 
+def test_mapped_laws_equal_per_index_laws():
+    # for_index reuses one T2 law; running the dynamic program per index agrees
+    for p in (Fraction(2, 7), 0.3):
+        for n in range(1, 11):
+            first = exact_distribution(IndexKind.WIENER, n, p)
+            assert "support" not in vars(first)  # built on first read only
+            q = Fraction(p)
+            assert first.t2_mean == (1 - q) * math.comb(n, 3)
+            assert first.t2_variance == q * (1 - q) * sum(w * w for w in t2_weights(n).tolist())
+            for kind in IndexKind:
+                own, mapped = exact_distribution(kind, n, p), first.for_index(kind)
+                assert mapped.law is first.law
+                assert mapped == own
+                assert mapped.support == own.support
+                assert (mapped.mean, mapped.variance) == (own.mean, own.variance)
+
+
 def test_bulk_path_reaches_past_the_enumeration_cap():
     # 2^28 realizations, yet the weight-count dynamic program stays small
     d = exact_distribution(IndexKind.KF_PLUS, 30, Fraction(1, 2), cap=40)
