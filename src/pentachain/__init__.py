@@ -12,7 +12,6 @@ standardized indices.
 """
 
 from .chain import (
-    DEFAULT_ENUM_CAP,
     AttachmentMode,
     ChainBlueprint,
     PentagonChainGraph,
@@ -21,7 +20,6 @@ from .chain import (
     attachment_positions,
     build_graph,
     enumerate_blueprints,
-    enumeration_cap,
     sample_blueprint,
     vertex_id,
 )
@@ -50,7 +48,6 @@ from .distribution import (
     monte_carlo,
     normality_test,
     sample_values,
-    samples_csv,
 )
 from .indices import (
     MOMENT_INDICES,
@@ -66,7 +63,6 @@ from .metrics import (
     MetricKind,
     MetricMatrix,
     bfs_all_pairs,
-    graph_metrics,
     laplacian_resistance,
     structured_metrics,
 )

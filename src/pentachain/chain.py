@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -38,14 +37,7 @@ __all__ = [
     "build_graph",
     "sample_blueprint",
     "enumerate_blueprints",
-    "enumeration_cap",
-    "DEFAULT_ENUM_CAP",
 ]
-
-# 2**(22-2) ~ 1e6 realizations: the largest exhaustive sweep that stays in
-# interactive time.  Override with the PENTACHAIN_ENUM_CAP environment
-# variable or an explicit cap argument.
-DEFAULT_ENUM_CAP = 22
 
 
 class AttachmentMode(Enum):
@@ -177,14 +169,6 @@ class PentagonChainGraph:
         """Edge-list export: one 'u v' pair per line, 0-based ids."""
         return "\n".join(f"{u} {v}" for u, v in self.edges()) + "\n"
 
-    def pentagon_of(self, v: int) -> int:
-        """1-based pentagon index of vertex id v."""
-        return v // 5 + 1
-
-    def position_of(self, v: int) -> int:
-        """1-based cycle position of vertex id v within its pentagon."""
-        return v % 5 + 1
-
 
 def vertex_id(pentagon: int, position: int) -> int:
     """Vertex id for x_{pentagon, position} (both 1-based)."""
@@ -262,40 +246,22 @@ def sample_blueprint(
     return ChainBlueprint(n=n, choices=choices)
 
 
-def enumeration_cap(override: int | None = None) -> int:
-    """Effective enumeration cap: argument, else PENTACHAIN_ENUM_CAP, else default."""
-    if override is not None:
-        return override
-    env = os.environ.get("PENTACHAIN_ENUM_CAP")
-    if env is None:
-        return DEFAULT_ENUM_CAP
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"PENTACHAIN_ENUM_CAP must be an integer, got {env!r}") from None
-
-
 def enumerate_blueprints(
-    n: int, p: ProbabilityParams, cap: int | None = None
+    n: int, p: ProbabilityParams
 ) -> Iterator[tuple[ChainBlueprint, Fraction | float]]:
     """Yield all 2^max(0, n-2) blueprints with their probabilities.
 
     Probabilities are p1^(#Mode1) * (1-p1)^(#Mode2): exact Fractions when p
-    is exact, floats otherwise; they sum to 1 exactly in rational mode.
+    is exact, floats otherwise; they sum to 1 exactly in rational mode.  The
+    generator is lazy and has no length limit: the caller bounds the sweep
+    by how much of it it takes.
 
     Raises
     ------
-    ValueError if n exceeds the enumeration cap (default 22, override via
-    the cap argument or PENTACHAIN_ENUM_CAP).
+    ValueError if n < 1.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    limit = enumeration_cap(cap)
-    if n > limit:
-        raise ValueError(
-            f"n={n} exceeds the enumeration cap {limit} "
-            f"(2^{max(0, n - 2)} realizations)"
-        )
     steps = max(0, n - 2)
     if p.is_exact:
         p1: Fraction | float = p.p1

@@ -57,7 +57,6 @@ class RunConfig:
     seed: int = 0
     samples: int = 10000
     workers: int = 1
-    cap: int | None = None
     fmt: str = "json"
     out: str | None = None
     pretty: bool = False
@@ -122,7 +121,6 @@ def _build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--samples", type=int, default=10000)
     rep.add_argument("--seed", type=int, default=0)
     rep.add_argument("--workers", type=int, default=1)
-    rep.add_argument("--cap", type=int, help="enumeration cap override")
     rep.add_argument(
         "--with-mc",
         action="store_true",
@@ -140,9 +138,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from(ns: argparse.Namespace) -> RunConfig:
-    fields = {f.name for f in dataclasses.fields(RunConfig)}
-    values = {k: v for k, v in vars(ns).items() if k in fields and v is not None}
-    return RunConfig(**values)
+    return RunConfig(**{k: v for k, v in vars(ns).items() if v is not None})
 
 
 def _parse_p1_list(text: str) -> list[ProbabilityParams]:
@@ -333,7 +329,7 @@ def cmd_report(config: RunConfig) -> tuple[str, int]:
     p_list = _parse_p1_list(config.p1)
     reports = []
     for params in p_list:
-        reports.extend(verification_table(config.nmax, params.p1, cap=config.cap))
+        reports.extend(verification_table(config.nmax, params.p1))
     code = EXIT_FORMULA if unexplained_failures(reports) else EXIT_OK
 
     if config.pretty:

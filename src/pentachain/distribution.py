@@ -29,8 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .chain import ProbabilityParams, enumeration_cap
-from .closedform import expected_index, variance_index
+from .closedform import _coerce_p1, expected_index, variance_index
 from .indices import IndexKind, affine_in_t2, t2_weights
 
 _STREAMS = 64
@@ -39,18 +38,6 @@ _CHUNK = 4096
 # Asymptotic two-sided Kolmogorov critical constants c(alpha); the test
 # threshold is c(alpha) / sqrt(sampleCount).
 _KS_CRITICAL = {0.01: 1.628, 0.05: 1.358}
-
-
-def _as_exact_p1(p1) -> Fraction:
-    if isinstance(p1, ProbabilityParams):
-        return p1.as_fraction()
-    return Fraction(p1)
-
-
-def _as_float_p1(p1) -> float:
-    if isinstance(p1, ProbabilityParams):
-        return p1.as_float()
-    return float(p1)
 
 
 @dataclass(frozen=True)
@@ -88,15 +75,6 @@ class ExactDistribution:
         """The law of another index at the same (n, p1), from the same T2 law."""
         return _index_law(index, self.n, self.p1, self.law, self.t2_mean, self.t2_variance)
 
-    def to_csv(self) -> str:
-        lines = ["value,probability"]
-        for value, prob in self.support:
-            lines.append(
-                f"{value.numerator}/{value.denominator},"
-                f"{prob.numerator}/{prob.denominator}"
-            )
-        return "\n".join(lines) + "\n"
-
 
 def _index_law(index, n, p1, law, t2_mean, t2_variance) -> ExactDistribution:
     base, slope = affine_in_t2(index, n)
@@ -112,7 +90,7 @@ def _index_law(index, n, p1, law, t2_mean, t2_variance) -> ExactDistribution:
     )
 
 
-def exact_distribution(index: IndexKind, n: int, p1, cap: int | None = None) -> ExactDistribution:
+def exact_distribution(index: IndexKind, n: int, p1) -> ExactDistribution:
     """Exact distribution of one index over all 2^(n-2) chains of length n.
 
     The index is base + slope * T2.  With p1 = a/b, the law of T2 has integer
@@ -121,20 +99,16 @@ def exact_distribution(index: IndexKind, n: int, p1, cap: int | None = None) -> 
     law is the same for every index: call for_index on the result for the
     other indices at this (n, p1) rather than running the pass again.  p1 is
     used exactly: float input is converted through Fraction(float), so
-    probabilities always sum to exactly 1.  Raises ValueError when n exceeds
-    the enumeration cap.
+    probabilities always sum to exactly 1.  There is no length limit: the
+    pass costs about n * C(n,3) Python-integer steps, whose size grows with
+    the denominator of p1.  On a 2-CPU x86-64 host with Python 3.11 that is
+    about 1 ms at n = 22 and 0.15 s at n = 70 for p1 = 1/2, and 1 s at
+    n = 70 for p1 = 0.3 (denominator 2^54).  Raises ValueError for n < 1 or
+    p1 outside [0, 1].
     """
-    exact = _as_exact_p1(p1)
-    if not 0 <= exact <= 1:
-        raise ValueError(f"p1 must lie in [0, 1], got {p1!r}")
-    limit = enumeration_cap(cap)
+    exact = Fraction(_coerce_p1(p1)[0])
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if n > limit:
-        raise ValueError(
-            f"n={n} exceeds the enumeration cap {limit} "
-            f"(2^{max(0, n - 2)} realizations)"
-        )
     a, b = exact.numerator, exact.denominator
     weights = t2_weights(n).tolist()
     num = np.zeros(sum(weights) + 1, dtype=object)
@@ -228,9 +202,7 @@ def _check_sampling(n: int, p1, sample_count: int) -> float:
         raise ValueError(f"n must be >= 1, got {n}")
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
-    p1f = _as_float_p1(p1)
-    if not 0.0 <= p1f <= 1.0:
-        raise ValueError(f"p1 must lie in [0, 1], got {p1!r}")
+    p1f = float(_coerce_p1(p1)[0])
     if math.comb(n, 3) >= 2**63:
         raise ValueError(f"n={n} is too long to sample: T2 up to C(n,3) overflows int64")
     return p1f
@@ -338,14 +310,6 @@ def sample_values(
     return out
 
 
-def samples_csv(values) -> str:
-    """CSV dump of a sample sequence: columns sampleIndex, value."""
-    lines = ["sampleIndex,value"]
-    for i, v in enumerate(np.asarray(values)):
-        lines.append(f"{i},{v}")
-    return "\n".join(lines) + "\n"
-
-
 class Standardization(Enum):
     """How normality_test centers and scales the samples."""
 
@@ -422,7 +386,7 @@ def normality_test(
     nothing to standardize.  So are sample standardizations of draws that
     are all equal.
     """
-    p1f = _as_float_p1(p1)
+    p1f = float(_coerce_p1(p1)[0])
     if n <= 2 or not 0.0 < p1f < 1.0:
         raise ValueError("normality needs n >= 3 and p1 strictly inside (0, 1)")
     values = sample_values(index, n, p1, sample_count, seed)

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .chain import ChainBlueprint, PentagonChainGraph, attachment_positions, build_graph
+from .chain import ChainBlueprint, PentagonChainGraph, attachment_positions
 
 __all__ = [
     "MetricKind",
@@ -91,20 +91,6 @@ class MetricMatrix:
             return Fraction(int(s), 2 * self.denominator)
         return float(s) / 2.0
 
-    def to_csv(self) -> str:
-        """CSV export: header row of vertex ids, exact entries as 'p/q'."""
-        header = ",".join(str(v) for v in range(self.size))
-        lines = [header]
-        for u in range(self.size):
-            if self.is_exact:
-                row = ",".join(
-                    f"{int(x)}/{self.denominator}" for x in self.data[u]
-                )
-            else:
-                row = ",".join(repr(float(x)) for x in self.data[u])
-            lines.append(row)
-        return "\n".join(lines) + "\n"
-
 
 def bfs_all_pairs(g: PentagonChainGraph) -> MetricMatrix:
     """Shortest-path distance matrix by breadth-first search from every source.
@@ -145,17 +131,18 @@ def bfs_all_pairs(g: PentagonChainGraph) -> MetricMatrix:
     return MetricMatrix(size=V, kind=MetricKind.DISTANCE, data=dist, denominator=1)
 
 
-def laplacian_resistance(
-    g: PentagonChainGraph, dense_cap: int = DEFAULT_DENSE_CAP
-) -> MetricMatrix:
+def laplacian_resistance(g: PentagonChainGraph) -> MetricMatrix:
     """Resistance matrix from the Laplacian pseudoinverse (float engine).
 
     Uses inv(L + J/m): the uniform rank-one shift makes L invertible, and the
-    shift's contribution cancels in r(u,v) = M_uu + M_vv - 2 M_uv.
+    shift's contribution cancels in r(u,v) = M_uu + M_vv - 2 M_uv.  Refuses
+    graphs of more than DEFAULT_DENSE_CAP vertices with ValueError.
     """
     V = g.vertex_count
-    if V > dense_cap:
-        raise ValueError(f"dense resistance engine capped at {dense_cap} vertices, got {V}")
+    if V > DEFAULT_DENSE_CAP:
+        raise ValueError(
+            f"dense resistance engine capped at {DEFAULT_DENSE_CAP} vertices, got {V}"
+        )
     adj = np.zeros((V, V), dtype=np.float64)
     adj[
         np.repeat(np.arange(V), g.degrees),
@@ -229,8 +216,3 @@ def structured_metrics(blueprint: ChainBlueprint) -> tuple[MetricMatrix, MetricM
         MetricMatrix(size=V, kind=MetricKind.DISTANCE, data=dist, denominator=1),
         MetricMatrix(size=V, kind=MetricKind.RESISTANCE, data=res, denominator=5),
     )
-
-
-def graph_metrics(g: PentagonChainGraph) -> tuple[MetricMatrix, MetricMatrix]:
-    """Structured metrics for an already built graph."""
-    return structured_metrics(g.blueprint)

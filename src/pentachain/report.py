@@ -2,8 +2,9 @@
 
 A report row holds, for one index at one (n, p1), the reference and verified
 expectations, the shared variance value, the exact moments over all 2^(n-2)
-chains when n is within the enumeration cap, match flags at 1e-9 relative
-tolerance, and the reference-vs-oracle gaps.  The exact moments come from
+chains when n is at most _ORACLE_NMAX, match flags at 1e-9 relative
+tolerance, and the reference-vs-oracle gaps.  Longer rows carry the closed
+forms alone, with every oracle column None.  The exact moments come from
 one T2-law dynamic program per (n, p1): exact_distribution runs it for the
 first index and the other rows map the same law through their own
 base + slope * T2, without building the Fraction support.  A mismatch of the reference expectation is
@@ -18,12 +19,15 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chain import enumeration_cap
 from .closedform import Source, discrepancies_for, expected_index, variance_index
 from .distribution import exact_distribution
 from .indices import MOMENT_INDICES, IndexKind
 
 _REL_TOL = Fraction(1, 10**9)
+
+# Longest chain whose rows the exact law checks.  Past it a report carries
+# the closed forms alone; raising it changes the report output.
+_ORACLE_NMAX = 22
 
 
 def _matches(value, oracle) -> bool:
@@ -72,14 +76,13 @@ class MomentReport:
         ]
 
 
-def moment_report(n, p1, indices=MOMENT_INDICES, cap=None, with_oracle=True) -> MomentReport:
+def moment_report(n, p1, indices=MOMENT_INDICES) -> MomentReport:
     """Evaluate closed forms at (n, p1) and compare with the exact law.
 
-    The oracle columns fill only when with_oracle holds and n is within the
-    enumeration cap; beyond it the closed forms are reported alone and every
-    flag stays None.
+    The oracle columns fill only for n <= _ORACLE_NMAX (22); for longer
+    chains the closed forms are reported alone and every flag stays None.
     """
-    run_oracle = with_oracle and n <= enumeration_cap(cap)
+    run_oracle = n <= _ORACLE_NMAX
     law = None
     rows = []
     for kind in indices:
@@ -99,7 +102,7 @@ def moment_report(n, p1, indices=MOMENT_INDICES, cap=None, with_oracle=True) -> 
             )
             continue
         # one T2-law dynamic program per (n, p1); the other indices map it
-        law = exact_distribution(kind, n, p1, cap=cap) if law is None else law.for_index(kind)
+        law = exact_distribution(kind, n, p1) if law is None else law.for_index(kind)
         e_gap = abs(reference - law.mean)
         v_gap = abs(variance - law.variance)
         rows.append(
@@ -124,9 +127,9 @@ def moment_report(n, p1, indices=MOMENT_INDICES, cap=None, with_oracle=True) -> 
     return MomentReport(n=n, p1=p1, rows=tuple(rows))
 
 
-def verification_table(nmax, p1, indices=MOMENT_INDICES, cap=None) -> list[MomentReport]:
+def verification_table(nmax, p1, indices=MOMENT_INDICES) -> list[MomentReport]:
     """Moment reports for every n = 1..nmax at one p1."""
-    return [moment_report(n, p1, indices=indices, cap=cap) for n in range(1, nmax + 1)]
+    return [moment_report(n, p1, indices=indices) for n in range(1, nmax + 1)]
 
 
 def unexplained_failures(reports) -> list[str]:

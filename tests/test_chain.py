@@ -9,7 +9,6 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from pentachain import (
-    DEFAULT_ENUM_CAP,
     AttachmentMode,
     ChainBlueprint,
     ProbabilityParams,
@@ -17,7 +16,6 @@ from pentachain import (
     attachment_positions,
     build_graph,
     enumerate_blueprints,
-    enumeration_cap,
     sample_blueprint,
     vertex_id,
 )
@@ -42,12 +40,9 @@ def test_vertex_id_layout():
     assert vertex_id(1, 5) == 4
     assert vertex_id(2, 1) == 5
     assert vertex_id(3, 4) == 13
-    g = build_graph(ChainBlueprint(n=3, choices=(M2,)))
     for k in range(1, 4):
         for j in range(1, 6):
-            v = vertex_id(k, j)
-            assert g.pentagon_of(v) == k
-            assert g.position_of(v) == j
+            assert divmod(vertex_id(k, j), 5) == (k - 1, j - 1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
@@ -155,19 +150,13 @@ def test_enumeration_float_probs_sum_close():
     assert math.isclose(total, 1.0, rel_tol=1e-12)
 
 
-def test_enumeration_cap(monkeypatch):
-    assert enumeration_cap() == DEFAULT_ENUM_CAP
-    assert enumeration_cap(5) == 5
-    monkeypatch.setenv("PENTACHAIN_ENUM_CAP", "3")
-    assert enumeration_cap() == 3
-    assert enumeration_cap(10) == 10  # argument wins over the environment
+def test_enumeration_cap():
+    # lazy and unbounded: the caller takes what it needs of 2^38 blueprints
+    first, prob = next(enumerate_blueprints(40, ProbabilityParams(Fraction(1, 2))))
+    assert first == all_mode_blueprint(40, M1)
+    assert prob == Fraction(1, 2**38)
     with pytest.raises(ValueError):
-        list(enumerate_blueprints(4, ProbabilityParams(0.5)))
-    monkeypatch.delenv("PENTACHAIN_ENUM_CAP")
-    with pytest.raises(ValueError):
-        list(enumerate_blueprints(DEFAULT_ENUM_CAP + 1, ProbabilityParams(0.5)))
-    with pytest.raises(ValueError):
-        list(enumerate_blueprints(0, ProbabilityParams(0.5)))
+        next(enumerate_blueprints(0, ProbabilityParams(0.5)))
 
 
 def test_all_mode_blueprint():

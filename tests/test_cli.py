@@ -1,6 +1,7 @@
 """Command-line contract: formats, determinism, exit codes 0/2/3/4."""
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -181,12 +182,12 @@ def test_bad_input_exits_2_with_one_line(argv, stdin, monkeypatch, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_bad_enumeration_cap_variable_exits_2_naming_it(monkeypatch, capsys):
-    monkeypatch.setenv("PENTACHAIN_ENUM_CAP", "x")
-    code, out, err = run(["report", "--nmax", "2"], capsys)
-    assert code == 2
-    assert out == ""
-    assert err == "error: PENTACHAIN_ENUM_CAP must be an integer, got 'x'\n"
+def test_enumeration_cap_variable_leaves_the_report_golden(monkeypatch, capsys):
+    # the oracle limit is a constant: no environment setting moves it
+    monkeypatch.setenv("PENTACHAIN_ENUM_CAP", "3")
+    code, out, _ = run(["report", "--nmax", "12", "--p1", "1/5,1/2,4/5"], capsys)
+    assert code == 0
+    assert hashlib.sha1(out.encode()).hexdigest() == "11487d4c451853ce6926ce0ad2783990b555f435"
 
 
 def test_unwritable_out_exits_2_with_one_line(tmp_path, capsys):
@@ -407,11 +408,27 @@ def test_usage_errors(capsys):
     assert run([], capsys)[0] == 2
     assert run(["frobnicate"], capsys)[0] == 2
     assert run(["generate"], capsys)[0] == 2  # --n is required
+    code, _, err = run(["report", "--nmax", "3", "--cap", "5"], capsys)
+    assert code == 2 and "unrecognized arguments: --cap 5" in err
+    code, out, _ = run(["report", "--help"], capsys)
+    assert code == 0 and "--nmax" in out and "--cap" not in out
 
 
 def test_run_config_round_trip():
     config = RunConfig(command="report", nmax=6, p1="1/3", with_mc=True)
     assert RunConfig.from_json(config.to_json()) == config
+
+
+def test_run_config_fields_are_the_option_destinations():
+    # _config_from passes every parsed option to RunConfig, unfiltered
+    (commands,) = [a for a in cli._build_parser()._actions if a.dest == "command"]
+    dests = {
+        action.dest
+        for sub in commands.choices.values()
+        for action in sub._actions
+        if action.dest != "help"
+    }
+    assert {f.name for f in dataclasses.fields(RunConfig)} == {"command"} | dests
 
 
 def test_parse_grid():
@@ -463,7 +480,6 @@ _ARGV = st.one_of(
         _opt("--samples", st.integers(-1, 200).map(str)),
         _opt("--seed", st.integers(0, 9).map(str)),
         _opt("--workers", st.sampled_from(["0", "1"])),
-        _opt("--cap", st.integers(-1, 12).map(str)),
         _opt("--standardization", st.sampled_from(["closed-form", "sample"])),
         _opt("--format", st.sampled_from(["json", "csv"])),
     ),

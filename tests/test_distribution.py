@@ -23,7 +23,6 @@ from pentachain import (
     monte_carlo,
     normality_test,
     sample_values,
-    samples_csv,
     t2_weights,
     variance_index,
 )
@@ -110,14 +109,14 @@ def test_mapped_laws_equal_per_index_laws():
 
 def test_bulk_path_reaches_past_the_enumeration_cap():
     # 2^28 realizations, yet the weight-count dynamic program stays small
-    d = exact_distribution(IndexKind.KF_PLUS, 30, Fraction(1, 2), cap=40)
+    d = exact_distribution(IndexKind.KF_PLUS, 30, Fraction(1, 2))
     assert d.mean == expected_index(IndexKind.KF_PLUS, 30, Fraction(1, 2))
     assert d.variance == variance_index(IndexKind.KF_PLUS, 30, Fraction(1, 2))
 
 
 def test_exact_law_stays_exact_at_large_n():
     # 2^68 chains; the numerators run far past int64
-    d = exact_distribution(IndexKind.KF_PLUS, 70, Fraction(1, 2), cap=70)
+    d = exact_distribution(IndexKind.KF_PLUS, 70, Fraction(1, 2))
     assert d.mean == expected_index(IndexKind.KF_PLUS, 70, Fraction(1, 2))
     assert d.variance == variance_index(IndexKind.KF_PLUS, 70, Fraction(1, 2))
 
@@ -140,7 +139,16 @@ def test_sampling_refuses_int64_overflow():
 
 @pytest.mark.parametrize(
     "n, p1, count",
-    [(0, 0.5, 3), (-4, 0.5, 3), (6, 1.5, 3), (6, -0.1, 3), (6, math.nan, 3), (6, 0.5, 0)],
+    [
+        (0, 0.5, 3),
+        (-4, 0.5, 3),
+        (6, 1.5, 3),
+        (6, -0.1, 3),
+        (6, math.nan, 3),
+        (6, 0.5, 0),
+        # above 1, though float() rounds it to 1.0: p1 is range-checked exactly
+        (6, Fraction(10**20 + 1, 10**20), 3),
+    ],
 )
 def test_sampling_rejects_bad_arguments(n, p1, count):
     with pytest.raises(ValueError):
@@ -153,16 +161,17 @@ def test_distribution_validation():
     with pytest.raises(ValueError):
         exact_distribution(IndexKind.GUTMAN, 0, Fraction(1, 2))
     with pytest.raises(ValueError):
-        exact_distribution(IndexKind.GUTMAN, 23, Fraction(1, 2))
-    with pytest.raises(ValueError):
         exact_distribution(IndexKind.GUTMAN, 3, Fraction(3, 2))
+    for bad in (math.nan, math.inf):  # refused by the range check, not by Fraction()
+        with pytest.raises(ValueError, match=r"p1 must lie in \[0, 1\]"):
+            exact_distribution(IndexKind.GUTMAN, 3, bad)
 
 
 def test_distribution_csv():
-    lines = exact_distribution(IndexKind.KF_STAR, 3, Fraction(1, 2)).to_csv().splitlines()
-    assert lines[0] == "value,probability"
-    assert lines[1] == "6586/5,1/2"
-    assert lines[2] == "6874/5,1/2"
+    assert exact_distribution(IndexKind.KF_STAR, 3, Fraction(1, 2)).support == (
+        (Fraction(6586, 5), Fraction(1, 2)),
+        (Fraction(6874, 5), Fraction(1, 2)),
+    )
 
 
 def test_sample_stats_merge_matches_two_pass():
@@ -235,13 +244,6 @@ def test_sample_values_consistent_with_stats():
     assert math.isclose(stats.mean, direct.mean, rel_tol=1e-12)
     assert math.isclose(stats.m2, direct.m2, rel_tol=1e-9)
     assert stats.min == direct.min and stats.max == direct.max
-
-
-def test_samples_csv():
-    lines = samples_csv(np.array([1.5, 2.0])).splitlines()
-    assert lines[0] == "sampleIndex,value"
-    assert lines[1] == "0,1.5"
-    assert len(lines) == 3
 
 
 def test_ks_statistic_hand_values():

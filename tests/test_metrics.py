@@ -15,7 +15,6 @@ from pentachain import (
     bfs_all_pairs,
     build_graph,
     enumerate_blueprints,
-    graph_metrics,
     laplacian_resistance,
     sample_blueprint,
     structured_metrics,
@@ -72,9 +71,10 @@ def test_matrix_shape_invariants(bp):
 
 
 def test_dense_engine_cap():
-    g = build_graph(ChainBlueprint(n=3, choices=(M1,)))
-    with pytest.raises(ValueError):
-        laplacian_resistance(g, dense_cap=10)
+    # 1,001 pentagons are 5,005 vertices: refused before the dense matrix exists
+    g = build_graph(all_mode_blueprint(1001, M1))
+    with pytest.raises(ValueError, match="capped at 5000 vertices, got 5005"):
+        laplacian_resistance(g)
 
 
 def test_two_pentagon_hand_values():
@@ -88,25 +88,6 @@ def test_two_pentagon_hand_values():
     # bridge endpoints: series law collapses to the single edge
     assert dist.entry(0, 5) == 1
     assert res.entry(0, 5) == 1
-
-
-def test_graph_metrics_matches_structured():
-    bp = ChainBlueprint(n=5, choices=(M1, M2, M1))
-    dist_g, res_g = graph_metrics(build_graph(bp))
-    dist_s, res_s = structured_metrics(bp)
-    assert np.array_equal(dist_g.data, dist_s.data)
-    assert np.array_equal(res_g.data, res_s.data)
-    assert res_g.denominator == res_s.denominator
-
-
-def test_csv_export():
-    _, res = structured_metrics(PENTAGON)
-    lines = res.to_csv().splitlines()
-    assert lines[0] == "0,1,2,3,4"
-    assert lines[1] == "0/5,4/5,6/5,6/5,4/5"
-    assert len(lines) == 6
-    float_lines = laplacian_resistance(build_graph(PENTAGON)).to_csv().splitlines()
-    assert float_lines[1].split(",")[0] == "0.0"
 
 
 def test_total_counts_unordered_pairs():

@@ -44,16 +44,21 @@ def test_rows_equal_the_enumeration_moments(p1):
                 assert row.expected_gap_abs == abs(row.expected_reference - mean)
 
 
-@pytest.mark.parametrize(
-    "kwargs",
-    [{"with_oracle": False}, {"cap": 5}],
-    ids=["without-oracle", "above-cap"],
-)
-def test_closed_forms_alone_leave_every_oracle_column_empty(kwargs, monkeypatch):
+def test_oracle_checks_rows_up_to_n_22_only(monkeypatch):
     calls = []
-    monkeypatch.setattr(report, "exact_distribution", lambda *a, **k: calls.append(a))
-    rep = moment_report(6, Fraction(1, 3), **kwargs)
-    assert calls == []
+    original = report.exact_distribution
+
+    def counting_oracle(index, n, p1):
+        calls.append(n)
+        return original(index, n, p1)
+
+    monkeypatch.setattr(report, "exact_distribution", counting_oracle)
+    rep = moment_report(22, Fraction(1, 3))
+    assert calls == [22]
+    assert all(row.expected_verified_match and row.variance_match for row in rep.rows)
+    # past the limit the closed forms stand alone
+    rep = moment_report(23, Fraction(1, 3))
+    assert calls == [22]
     assert len(rep.rows) == len(MOMENT_INDICES)
     for row in rep.rows:
         assert row.expected_verified is not None and row.variance is not None
@@ -88,13 +93,13 @@ def test_one_report_runs_the_t2_law_once(monkeypatch):
 
     original = report.exact_distribution
 
-    def counting_oracle(index, n, p1, cap=None):
-        oracle_calls.append((index, n, p1, cap))
-        return original(index, n, p1, cap=cap)
+    def counting_oracle(index, n, p1):
+        oracle_calls.append((index, n, p1))
+        return original(index, n, p1)
 
     monkeypatch.setattr(distribution, "t2_weights", counting_weights)
     monkeypatch.setattr(report, "exact_distribution", counting_oracle)
     rep = moment_report(12, Fraction(2, 7))
     assert dp_runs == [12]
-    assert oracle_calls == [(IndexKind.GUTMAN, 12, Fraction(2, 7), None)]
+    assert oracle_calls == [(IndexKind.GUTMAN, 12, Fraction(2, 7))]
     assert all(row.expected_verified_match and row.variance_match for row in rep.rows)
