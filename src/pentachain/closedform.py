@@ -14,12 +14,16 @@ Expectations and sequences come in two flavours selected by `Source`:
 * ``Source.REFERENCE`` keeps the reference closed forms verbatim, stored as
   coefficient tables, for faithful reproduction.
 * ``Source.VERIFIED`` derives the expectation cubics at runtime by exact
-  interpolation of deterministic-chain values
-  (`fitted_expectation_coefficients`); the sequences stay stored tables.
-  The two differ only for the degree-Kirchhoff expectations (and the
-  resistance-load sequence D feeding one of them); the ``DISCREPANCIES``
+  interpolation of deterministic-chain values from the structured matrix
+  engine (`fitted_expectation_coefficients`); the sequences stay stored
+  tables.  The two differ only for the degree-Kirchhoff expectations (and
+  the resistance-load sequence D feeding one of them); the ``DISCREPANCIES``
   registry documents every known gap, and the enumeration oracle in the test
   suite is the arbiter.
+
+The variance slope comes from the same engine.  Neither reads the chain
+recurrence table behind `affine_in_t2`, which drives the exact-law oracle,
+so a moment report compares two engines and an error in either shows.
 
 Evaluation is exact rational arithmetic whenever p1 is rational, and plain
 double precision otherwise.
@@ -36,8 +40,9 @@ from fractions import Fraction
 from functools import cache
 from types import MappingProxyType
 
-from .chain import AttachmentMode, ProbabilityParams, all_mode_blueprint
-from .indices import MOMENT_INDICES, IndexKind, affine_in_t2, incremental_indices
+from .chain import AttachmentMode, ProbabilityParams, all_mode_blueprint, build_graph
+from .indices import MOMENT_INDICES, IndexKind, compute_indices
+from .metrics import structured_metrics
 
 F = Fraction
 
@@ -215,14 +220,25 @@ def _require_moment_index(index: IndexKind) -> None:
 
 
 def _coerce_p1(p1):
-    """Return (value, exact) with value a Fraction or float in [0, 1]."""
+    """Return (value, exact) with value a Fraction, int or float in [0, 1].
+
+    A Fraction or int is returned as it is, range-checked on its integer
+    numerator and denominator, so a caller that coerced p1 once can pass
+    the value on at almost no cost; any other input but a float goes
+    through Fraction().
+    """
     if isinstance(p1, ProbabilityParams):
         p1 = p1.p1
-    if isinstance(p1, float):
+    if type(p1) is Fraction or type(p1) is int:
+        value, exact = p1, True
+        in_range = 0 <= p1.numerator <= p1.denominator
+    elif isinstance(p1, float):
         value, exact = p1, False
+        in_range = 0 <= value <= 1
     else:
         value, exact = Fraction(p1), True
-    if not 0 <= value <= 1:
+        in_range = 0 <= value <= 1
+    if not in_range:
         raise ValueError(f"p1 must lie in [0, 1], got {p1!r}")
     return value, exact
 
@@ -234,8 +250,8 @@ def _poly_forms(source, kind):
     kind is an IndexKind (expectation cubic) or a SequenceKind.  Returns
     (float terms, integer terms, common denominator): the float terms are
     (power, float(c0), float(c1)) in table order; the integer terms are
-    (power, c0 * den, c1 * den) with den the least common denominator of
-    every coefficient.
+    (c0 * den, c1 * den) for every power from the highest down to 0, with
+    den the least common denominator of every coefficient.
     """
     if isinstance(kind, SequenceKind):
         poly = _SEQUENCE[source][kind]
@@ -246,7 +262,8 @@ def _poly_forms(source, kind):
     den = math.lcm(*(c.denominator for pair in poly.values() for c in pair))
     floats = tuple((power, float(c0), float(c1)) for power, (c0, c1) in poly.items())
     ints = tuple(
-        (power, int(c0 * den), int(c1 * den)) for power, (c0, c1) in poly.items()
+        (int(poly[power][0] * den), int(poly[power][1] * den))
+        for power in range(max(poly), -1, -1)
     )
     return floats, ints, den
 
@@ -254,9 +271,13 @@ def _poly_forms(source, kind):
 def _eval_poly(source, kind, n, p1, exact):
     floats, ints, den = _poly_forms(source, kind)
     if exact:
-        # sum (c0 + c1 * a/b) * n**power over the common denominator den * b
+        # sum (c0 + c1 * a/b) * n**power over the common denominator den * b,
+        # by Horner's rule from the highest power
         a, b = p1.numerator, p1.denominator
-        return Fraction(sum((c0 * b + c1 * a) * n**power for power, c0, c1 in ints), den * b)
+        total = 0
+        for c0, c1 in ints:
+            total = total * n + c0 * b + c1 * a
+        return Fraction(total, den * b)
     total = 0.0
     for power, c0, c1 in floats:
         total += (c0 + c1 * p1) * float(n) ** power
@@ -300,8 +321,13 @@ def sequence_values(kind, n, p1, source=Source.VERIFIED):
 
 @cache
 def _squared_slope(index) -> tuple[int, int]:
-    """slope**2 of one index as (numerator, denominator)."""
-    _, slope = affine_in_t2(index, 1)  # the slope does not depend on n
+    """slope**2 of one index as (numerator, denominator).
+
+    At n = 3 the one choice has weight w_2 = 1, so the slope is the gap
+    between the all-mode-2 and all-mode-1 chains of three pentagons.
+    """
+    chains = _deterministic_chains()
+    slope = chains[AttachmentMode.MODE2][2].get(index) - chains[AttachmentMode.MODE1][2].get(index)
     return slope.numerator**2, slope.denominator**2
 
 
@@ -310,8 +336,7 @@ def _exact_step_variance(index, p1) -> tuple[int, int, bool]:
     (numerator, denominator), and whether p1 was exact."""
     _require_moment_index(index)
     value, exact = _coerce_p1(p1)
-    p = Fraction(value)
-    a, b = p.numerator, p.denominator
+    a, b = (value.numerator, value.denominator) if exact else value.as_integer_ratio()
     s_num, s_den = _squared_slope(index)
     return a * (b - a) * s_num, b * b * s_den, exact
 
@@ -375,26 +400,41 @@ def interpolate_polynomial(points, degree):
 
 
 @cache
+def _deterministic_chains():
+    """{mode: index bundles of the all-mode chains with n = 1..6}, computed
+    once per process by the structured matrix engine, one pass per chain."""
+
+    def bundle(blueprint):
+        dist, res = structured_metrics(blueprint)
+        return compute_indices(build_graph(blueprint), dist, res)
+
+    return {
+        mode: tuple(bundle(all_mode_blueprint(n, mode)) for n in range(1, 7))
+        for mode in AttachmentMode
+    }
+
+
+@cache
 def fitted_expectation_coefficients(index) -> Mapping[int, tuple[Fraction, Fraction]]:
     """Expectation cubic fitted from chain values: the Source.VERIFIED form.
 
-    Runs the O(n) engine on the two deterministic chains (all mode 1 for
-    p1 = 1, all mode 2 for p1 = 0) at n = 1..6; four points pin each cubic
-    and the last two must confirm it.  Expectation is affine in p1 because
-    every index is affine in the mode-2 weight sum T2, so the two fits
-    determine the whole {power: (c0, c1)} table, highest power first.
-    Computed once per index and returned as a read-only mapping.
+    Takes the structured matrix engine's values of the two deterministic
+    chains (all mode 1 for p1 = 1, all mode 2 for p1 = 0) at n = 1..6; four
+    points pin each cubic and the last two must confirm it.  Expectation is
+    affine in p1 because every index is affine in the mode-2 weight sum T2,
+    so the two fits determine the whole {power: (c0, c1)} table, highest
+    power first.  Computed once per index and returned as a read-only
+    mapping.
     """
     _require_moment_index(index)
+    chains = _deterministic_chains()
 
-    def chain_values(mode):
-        return [
-            (n, incremental_indices(all_mode_blueprint(n, mode)).get(index))
-            for n in range(1, 7)
-        ]
+    def fit(mode):
+        points = [(n, value.get(index)) for n, value in enumerate(chains[mode], start=1)]
+        return interpolate_polynomial(points, 3)
 
-    at_one = interpolate_polynomial(chain_values(AttachmentMode.MODE1), 3)
-    at_zero = interpolate_polynomial(chain_values(AttachmentMode.MODE2), 3)
+    at_one = fit(AttachmentMode.MODE1)
+    at_zero = fit(AttachmentMode.MODE2)
     return MappingProxyType(
         {
             power: (at_zero[power], at_one[power] - at_zero[power])

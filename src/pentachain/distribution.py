@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -30,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .closedform import _coerce_p1, expected_index, variance_index
-from .indices import IndexKind, affine_in_t2, t2_weights
+from .indices import IndexKind, _scaled_affine, affine_in_t2, t2_weights
 
 _STREAMS = 64
 _CHUNK = 4096
@@ -76,8 +77,26 @@ class ExactDistribution:
         return _index_law(index, self.n, self.p1, self.law, self.t2_mean, self.t2_variance)
 
 
+def _index_moments(index, n, t2_mean, t2_variance) -> tuple[int, int, int, int]:
+    """(mean numerator, mean denominator, variance numerator, variance
+    denominator) of one index, in integers, from the moments of T2.
+
+    The index is (base + slope * T2) / scale, so its mean is
+    (base * d + slope * m) / (scale * d) for t2_mean = m/d, and its variance
+    slope^2 * t2_variance / scale^2.  The fractions are not reduced.
+    """
+    base, slope, scale = _scaled_affine(index, n)
+    m, d = t2_mean.numerator, t2_mean.denominator
+    return (
+        base * d + slope * m,
+        scale * d,
+        slope * slope * t2_variance.numerator,
+        scale * scale * t2_variance.denominator,
+    )
+
+
 def _index_law(index, n, p1, law, t2_mean, t2_variance) -> ExactDistribution:
-    base, slope = affine_in_t2(index, n)
+    mean_num, mean_den, var_num, var_den = _index_moments(index, n, t2_mean, t2_variance)
     return ExactDistribution(
         index=index,
         n=n,
@@ -85,8 +104,8 @@ def _index_law(index, n, p1, law, t2_mean, t2_variance) -> ExactDistribution:
         law=law,
         t2_mean=t2_mean,
         t2_variance=t2_variance,
-        mean=base + slope * t2_mean,
-        variance=slope * slope * t2_variance,
+        mean=Fraction(mean_num, mean_den),
+        variance=Fraction(var_num, var_den),
     )
 
 
@@ -99,35 +118,47 @@ def exact_distribution(index: IndexKind, n: int, p1) -> ExactDistribution:
     law is the same for every index: call for_index on the result for the
     other indices at this (n, p1) rather than running the pass again.  p1 is
     used exactly: float input is converted through Fraction(float), so
-    probabilities always sum to exactly 1.  There is no length limit: the
-    pass costs about n * C(n,3) Python-integer steps, whose size grows with
-    the denominator of p1.  On a 2-CPU x86-64 host with Python 3.11 that is
-    about 1 ms at n = 22 and 0.15 s at n = 70 for p1 = 1/2, and 1 s at
-    n = 70 for p1 = 0.3 (denominator 2^54).  Raises ValueError for n < 1 or
-    p1 outside [0, 1].
+    probabilities always sum to exactly 1.
+
+    Every partial numerator is at most b^(n-2), so the pass runs on int64
+    when b^(n-2) < 2^63 (p1 = 1/2 up to n = 64, p1 = 1/3 up to n = 41) and
+    on Python integers otherwise; the law and its sums are Python integers
+    either way.  There is no length limit: the pass makes n - 2 rounds of
+    three array operations over at most C(n,3) + 1 entries.  On a 2-CPU
+    x86-64 host with Python 3.11 and numpy 2.4 (timeit, best of 5) that is
+    about 0.06 ms at n = 16 and 0.15 ms at n = 22 for p1 = 1/3; 0.85 ms at
+    n = 40, 5 ms at n = 64 and 65 ms at n = 70 for p1 = 1/2 (Python integers
+    from n = 65); and 0.4 s at n = 70 for p1 = 0.3 (denominator 2^54).  The
+    host's speed drifts by up to 2x between spells.  Raises ValueError for
+    n < 1 or p1 outside [0, 1].
     """
-    exact = Fraction(_coerce_p1(p1)[0])
+    value = _coerce_p1(p1)[0]
+    exact = value if type(value) is Fraction else Fraction(value)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     a, b = exact.numerator, exact.denominator
+    denom = b ** max(0, n - 2)
     weights = t2_weights(n).tolist()
-    num = np.zeros(sum(weights) + 1, dtype=object)
+    num = np.zeros(sum(weights) + 1, dtype=np.int64 if denom < 2**63 else object)
     num[0] = 1
     hi = 0
     for w in weights:
         shifted = (b - a) * num[: hi + 1]
-        num[: hi + w + 1] *= a
+        num[: hi + 1] *= a
         num[w : hi + w + 1] += shifted
         hi += w
-    # a list first: tuple() of a generator grows its result by realloc, and
+    support = np.flatnonzero(num)
+    values, counts = support.tolist(), num[support].tolist()
+    # a list first: tuple() of an iterator grows its result by realloc, and
     # CPython then parks each discarded short law in its tuple free lists
     # (up to 2000 per length below 20) until a full garbage collection
-    law = tuple([(t, c) for t, c in enumerate(num.tolist()) if c])
-    denom = b ** max(0, n - 2)
-    if sum(c for _, c in law) != denom:
+    law = tuple(list(zip(values, counts)))
+    if sum(counts) != denom:
         raise ArithmeticError(f"T2 law at n={n}, p1={p1} does not sum to 1")
-    s1 = sum(t * c for t, c in law)
-    s2 = sum(t * t * c for t, c in law)
+    # Python-integer sums over T2: s1 = sum t*c, s2 = sum t*(t*c)
+    t_counts = list(map(operator.mul, values, counts))
+    s1 = sum(t_counts)
+    s2 = sum(map(operator.mul, values, t_counts))
     t2_mean = Fraction(s1, denom)
     t2_variance = Fraction(s2 * denom - s1 * s1, denom * denom)
     return _index_law(index, n, exact, law, t2_mean, t2_variance)

@@ -4,13 +4,21 @@ A report row holds, for one index at one (n, p1), the reference and verified
 expectations, the shared variance value, the exact moments over all 2^(n-2)
 chains when n is at most _ORACLE_NMAX, match flags at 1e-9 relative
 tolerance, and the reference-vs-oracle gaps.  Longer rows carry the closed
-forms alone, with every oracle column None.  The exact moments come from
-one T2-law dynamic program per (n, p1): exact_distribution runs it for the
-first index and the other rows map the same law through their own
-base + slope * T2, without building the Fraction support.  A mismatch of the reference expectation is
-"explained" when the discrepancy registry has entries for that index and the
-verified form does match; anything else is an unexplained failure and makes
-the CLI exit nonzero.
+forms alone, with every oracle column None.
+
+The two sides rest on different engines.  The verified expectation cubics
+and the variance slope are fitted from the structured matrix engine (pentagon
+tables and cut-edge additivity); the reference cubics are the paper's
+tables.  The exact moments come from the chain recurrence table behind
+base + slope * T2 and one T2-law dynamic program per (n, p1):
+exact_distribution runs it for the first index, and every row maps the
+moments of T2 through its own base + slope * T2 in integers.  Gaps and match
+flags are integer cross-multiplications, and each rational output field is
+built once, as one Fraction.
+
+A mismatch of the reference expectation is "explained" when the discrepancy
+registry has entries for that index and the verified form does match;
+anything else is an unexplained failure and makes the CLI exit nonzero.
 """
 
 from __future__ import annotations
@@ -19,19 +27,47 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .closedform import Source, discrepancies_for, expected_index, variance_index
-from .distribution import exact_distribution
+from .closedform import Source, _coerce_p1, discrepancies_for, expected_index, variance_index
+from .distribution import _index_moments, exact_distribution
 from .indices import MOMENT_INDICES, IndexKind
 
-_REL_TOL = Fraction(1, 10**9)
+# A value matches the oracle when |value - oracle| / max(1, |oracle|) is at
+# most 1 / _REL_TOL_DEN.
+_REL_TOL_DEN = 10**9
 
 # Longest chain whose rows the exact law checks.  Past it a report carries
 # the closed forms alone; raising it changes the report output.
 _ORACLE_NMAX = 22
 
 
-def _matches(value, oracle) -> bool:
-    return value == oracle or abs(value - oracle) <= _REL_TOL * max(1, abs(oracle))
+def _gap(value, num, den) -> tuple[int, int]:
+    """|value - num/den| as an integer ratio, for den > 0.
+
+    A float value gives the float gap that float - Fraction arithmetic
+    rounds to, taken at its exact binary value.
+    """
+    if isinstance(value, float):
+        return abs(value - num / den).as_integer_ratio()
+    return abs(value.numerator * den - num * value.denominator), value.denominator * den
+
+
+def _matches(value, num, den) -> bool:
+    """Whether value is within the relative tolerance of the oracle num/den."""
+    gap_num, gap_den = _gap(value, num, den)
+    # gap / max(1, |num/den|) <= 1 / _REL_TOL_DEN, cross-multiplied
+    return gap_num * den * _REL_TOL_DEN <= gap_den * max(den, abs(num))
+
+
+def _gaps(value, num, den):
+    """(gap_abs, gap_rel) of value against the oracle num/den, with
+    gap_rel = gap_abs / max(1, |oracle|): Fractions for an exact value, and
+    for a float value the floats that float - Fraction arithmetic gives."""
+    scale = max(den, abs(num))  # max(1, |oracle|) = scale / den
+    if isinstance(value, float):
+        gap = abs(value - num / den)
+        return gap, gap if scale == den else gap / (scale / den)
+    gap_num, gap_den = _gap(value, num, den)
+    return Fraction(gap_num, gap_den), Fraction(gap_num * den, gap_den * scale)
 
 
 @dataclass(frozen=True)
@@ -79,16 +115,23 @@ class MomentReport:
 def moment_report(n, p1, indices=MOMENT_INDICES) -> MomentReport:
     """Evaluate closed forms at (n, p1) and compare with the exact law.
 
-    The oracle columns fill only for n <= _ORACLE_NMAX (22); for longer
-    chains the closed forms are reported alone and every flag stays None.
+    p1 is coerced once and passed on as a Fraction (rational input) or a
+    float.  The closed forms come from the cached integer tables: verified
+    cubics and variance slope fitted from the structured matrix engine,
+    reference cubics from the paper.  The oracle columns fill only for
+    n <= _ORACLE_NMAX (22), from one exact_distribution call for the first
+    index: every index maps the moments of T2 through its own
+    base + slope * T2 in integers.  For longer chains the closed forms are
+    reported alone and every flag stays None.
     """
+    p, _ = _coerce_p1(p1)
     run_oracle = n <= _ORACLE_NMAX
-    law = None
+    t2_moments = None
     rows = []
     for kind in indices:
-        reference = expected_index(kind, n, p1, source=Source.REFERENCE)
-        verified = expected_index(kind, n, p1, source=Source.VERIFIED)
-        variance = variance_index(kind, n, p1)
+        reference = expected_index(kind, n, p, source=Source.REFERENCE)
+        verified = expected_index(kind, n, p, source=Source.VERIFIED)
+        variance = variance_index(kind, n, p)
         if not run_oracle:
             rows.append(
                 MomentRow(
@@ -101,10 +144,13 @@ def moment_report(n, p1, indices=MOMENT_INDICES) -> MomentReport:
                 )
             )
             continue
-        # one T2-law dynamic program per (n, p1); the other indices map it
-        law = exact_distribution(kind, n, p1) if law is None else law.for_index(kind)
-        e_gap = abs(reference - law.mean)
-        v_gap = abs(variance - law.variance)
+        if t2_moments is None:
+            # one T2-law dynamic program per (n, p1); every index maps its moments
+            law = exact_distribution(kind, n, p)
+            t2_moments = law.t2_mean, law.t2_variance
+        mean_num, mean_den, var_num, var_den = _index_moments(kind, n, *t2_moments)
+        e_gap_abs, e_gap_rel = _gaps(reference, mean_num, mean_den)
+        v_gap_abs, v_gap_rel = _gaps(variance, var_num, var_den)
         rows.append(
             MomentRow(
                 index=kind,
@@ -113,15 +159,15 @@ def moment_report(n, p1, indices=MOMENT_INDICES) -> MomentReport:
                 expected_reference=reference,
                 expected_verified=verified,
                 variance=variance,
-                expected_oracle=law.mean,
-                variance_oracle=law.variance,
-                expected_reference_match=_matches(reference, law.mean),
-                expected_verified_match=_matches(verified, law.mean),
-                variance_match=_matches(variance, law.variance),
-                expected_gap_abs=e_gap,
-                expected_gap_rel=e_gap / max(1, abs(law.mean)),
-                variance_gap_abs=v_gap,
-                variance_gap_rel=v_gap / max(1, abs(law.variance)),
+                expected_oracle=Fraction(mean_num, mean_den),
+                variance_oracle=Fraction(var_num, var_den),
+                expected_reference_match=_matches(reference, mean_num, mean_den),
+                expected_verified_match=_matches(verified, mean_num, mean_den),
+                variance_match=_matches(variance, var_num, var_den),
+                expected_gap_abs=e_gap_abs,
+                expected_gap_rel=e_gap_rel,
+                variance_gap_abs=v_gap_abs,
+                variance_gap_rel=v_gap_rel,
             )
         )
     return MomentReport(n=n, p1=p1, rows=tuple(rows))

@@ -1,12 +1,26 @@
 """Shared exact oracles for the test suite."""
 
+import operator
 from collections import deque
 from fractions import Fraction
 
 import numpy as np
 
-from pentachain import AttachmentMode, IndexBundle, IndexKind, enumerate_blueprints
+from pentachain import (
+    MOMENT_INDICES,
+    AttachmentMode,
+    IndexBundle,
+    IndexKind,
+    Source,
+    affine_in_t2,
+    enumerate_blueprints,
+    exact_distribution,
+    expected_index,
+    t2_weights,
+    variance_index,
+)
 from pentachain.indices import _REC
+from pentachain.report import _ORACLE_NMAX, MomentReport, MomentRow
 
 
 def carry_indices(blueprint) -> IndexBundle:
@@ -79,3 +93,80 @@ def bfs_distances(graph) -> np.ndarray:
                     queue.append(w)
         rows.append(row)
     return np.array(rows, dtype=np.int64).reshape(len(adjacency), len(adjacency))
+
+
+def python_t2_law(n: int, p1) -> tuple[tuple[int, int], ...]:
+    """The law of T2 as (value, numerator over b^(n-2)) pairs, zero masses
+    dropped, by the dynamic program on a plain list of Python integers: no
+    numpy array, no dtype to overflow."""
+    p = Fraction(p1)
+    a, b = p.numerator, p.denominator
+    num = [1]
+    for w in t2_weights(n).tolist():
+        # num <- a*num + (b-a)*shift(num, w)
+        kept = [a * c for c in num] + [0] * w
+        moved = [0] * w + [(b - a) * c for c in num]
+        num = list(map(operator.add, kept, moved))
+    return tuple((t, c) for t, c in enumerate(num) if c)
+
+
+_REL_TOL = Fraction(1, 10**9)
+
+
+def _fraction_matches(value, oracle) -> bool:
+    return value == oracle or abs(value - oracle) <= _REL_TOL * max(1, abs(oracle))
+
+
+def fraction_moment_report(n, p1, indices=MOMENT_INDICES) -> MomentReport:
+    """moment_report computed the earlier way, with Fraction arithmetic
+    throughout: every closed form takes p1 as given, each index maps the T2
+    moments through base + slope * T2 in Fractions, and the gaps and match
+    flags are Fraction and float operations.  The integer report must give
+    the same fields, of the same types."""
+    run_oracle = n <= _ORACLE_NMAX
+    law = None
+    rows = []
+    for kind in indices:
+        reference = expected_index(kind, n, p1, source=Source.REFERENCE)
+        verified = expected_index(kind, n, p1, source=Source.VERIFIED)
+        variance = variance_index(kind, n, p1)
+        if not run_oracle:
+            rows.append(
+                MomentRow(
+                    index=kind,
+                    n=n,
+                    p1=p1,
+                    expected_reference=reference,
+                    expected_verified=verified,
+                    variance=variance,
+                )
+            )
+            continue
+        # one T2-law dynamic program per (n, p1); the other indices map it
+        if law is None:
+            law = exact_distribution(kind, n, p1)
+        base, slope = affine_in_t2(kind, n)
+        mean = base + slope * law.t2_mean
+        var = slope * slope * law.t2_variance
+        e_gap = abs(reference - mean)
+        v_gap = abs(variance - var)
+        rows.append(
+            MomentRow(
+                index=kind,
+                n=n,
+                p1=p1,
+                expected_reference=reference,
+                expected_verified=verified,
+                variance=variance,
+                expected_oracle=mean,
+                variance_oracle=var,
+                expected_reference_match=_fraction_matches(reference, mean),
+                expected_verified_match=_fraction_matches(verified, mean),
+                variance_match=_fraction_matches(variance, var),
+                expected_gap_abs=e_gap,
+                expected_gap_rel=e_gap / max(1, abs(mean)),
+                variance_gap_abs=v_gap,
+                variance_gap_rel=v_gap / max(1, abs(var)),
+            )
+        )
+    return MomentReport(n=n, p1=p1, rows=tuple(rows))

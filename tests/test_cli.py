@@ -209,6 +209,11 @@ def test_unwritable_out_exits_2_with_one_line(tmp_path, capsys):
             ["report", "--nmax", "9", "--p1", "0.3", "--format", "csv"],
             "4e5ac0870ff0c863d85e6b697b798f6354d014d3",
         ),
+        (
+            # rows past the oracle limit, at a rational and a float p1
+            ["report", "--nmax", "24", "--p1", "1/3,0.3", "--format", "csv"],
+            "b3dc36de338bba4a3f85c9b06883b1adb1b5cdaa",
+        ),
     ],
 )
 def test_report_stdout_is_golden(argv, sha1, capsys):

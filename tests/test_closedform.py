@@ -1,6 +1,7 @@
 """Closed-form moments against the enumeration oracle, both sources."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -32,7 +33,7 @@ from pentachain import (
     variance_index,
     vertex_id,
 )
-from pentachain.closedform import _EXPECTATION_REFERENCE, _SEQUENCE
+from pentachain.closedform import _EXPECTATION_REFERENCE, _SEQUENCE, _coerce_p1
 
 from helpers import enumeration_moments
 
@@ -383,3 +384,16 @@ def test_moment_index_validation():
         expected_index(IndexKind.GUTMAN, 3, 1.5)
     with pytest.raises(ValueError):
         moment_params(IndexKind.GUTMAN, -0.2)
+
+
+def test_p1_coercion_passes_exact_input_through():
+    p = Fraction(2, 7)
+    for given_p1 in (p, ProbabilityParams(p)):
+        value, exact = _coerce_p1(given_p1)
+        assert value is p and exact
+    assert _coerce_p1(1) == (1, True) and type(_coerce_p1(1)[0]) is int
+    assert _coerce_p1("1/3") == (Fraction(1, 3), True)
+    assert _coerce_p1(np.float64(0.3)) == (0.3, False)
+    for bad in (Fraction(8, 7), Fraction(-1, 7), 2, -1, 1.5, math.nan, "4/3"):
+        with pytest.raises(ValueError, match=re.escape(f"p1 must lie in [0, 1], got {bad!r}")):
+            _coerce_p1(bad)

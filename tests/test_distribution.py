@@ -1,6 +1,9 @@
 """Exact distributions, Monte Carlo streams, and the normality test."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from statistics import NormalDist
 
@@ -27,7 +30,7 @@ from pentachain import (
     variance_index,
 )
 
-from helpers import enumeration_laws, enumeration_moments
+from helpers import enumeration_laws, enumeration_moments, python_t2_law
 
 
 def test_two_atom_law():
@@ -126,6 +129,77 @@ def test_t2_law_total_is_checked(monkeypatch):
     monkeypatch.setattr(distribution, "t2_weights", lambda n: t2_weights(n)[1:])
     with pytest.raises(ArithmeticError):
         exact_distribution(IndexKind.GUTMAN, 6, Fraction(1, 3))
+
+
+def test_t2_law_total_check_survives_python_dash_o():
+    # a real raise, not an assert: `python -O` keeps it, on both dtypes
+    script = (
+        "import pentachain.distribution as d\n"
+        "from fractions import Fraction\n"
+        "if __debug__:\n"
+        "    raise SystemExit('not optimized')\n"
+        "weights = d.t2_weights\n"
+        "d.t2_weights = lambda n: weights(n)[1:]\n"
+        "for n, p1 in ((6, Fraction(1, 3)), (66, Fraction(1, 2))):\n"
+        "    try:\n"
+        "        d.exact_distribution(d.IndexKind.GUTMAN, n, p1)\n"
+        "    except ArithmeticError:\n"
+        "        continue\n"
+        "    raise SystemExit(f'no ArithmeticError at n={n}')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env=os.environ | {"PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+class _DtypeSpy:
+    """Stands in for numpy inside distribution and records each array dtype."""
+
+    def __init__(self):
+        self.dtypes = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def zeros(self, shape, dtype):
+        self.dtypes.append(dtype)
+        return np.zeros(shape, dtype=dtype)
+
+
+@pytest.mark.parametrize(
+    "n, p1",
+    [
+        # b^(n-2) = 2^62, 2^63, 2^64 for p1 = 1/2
+        (64, Fraction(1, 2)),
+        (65, Fraction(1, 2)),
+        (66, Fraction(1, 2)),
+        # 3^39 < 2^63 < 3^40
+        (41, Fraction(1, 3)),
+        (42, Fraction(1, 3)),
+        (40, Fraction(0)),
+        (40, Fraction(1)),
+    ],
+    ids=str,
+)
+def test_int64_and_object_passes_equal_the_python_integer_law(n, p1, monkeypatch):
+    spy = _DtypeSpy()
+    monkeypatch.setattr(distribution, "np", spy)
+    d = exact_distribution(IndexKind.KF_STAR, n, p1)
+    denom = p1.denominator ** (n - 2)
+    assert spy.dtypes == [np.int64 if denom < 2**63 else object]
+    law = python_t2_law(n, p1)
+    assert d.law == law
+    assert all(type(t) is int and type(c) is int for t, c in d.law)
+    s1 = sum(t * c for t, c in law)
+    s2 = sum(t * t * c for t, c in law)
+    assert d.t2_mean == Fraction(s1, denom)
+    assert d.t2_variance == Fraction(s2 * denom - s1 * s1, denom * denom)
+    assert d.mean == expected_index(IndexKind.KF_STAR, n, p1)
+    assert d.variance == variance_index(IndexKind.KF_STAR, n, p1)
 
 
 def test_sampling_refuses_int64_overflow():

@@ -1,17 +1,22 @@
 """Moment reports: closed forms against the exact law, one T2 law per (n, p1)."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
+import pentachain.closedform as closedform
 import pentachain.distribution as distribution
+import pentachain.indices as indices_mod
 import pentachain.report as report
 from pentachain import MOMENT_INDICES, IndexKind, ProbabilityParams, t2_weights
-from pentachain.report import MomentReport, moment_report, unexplained_failures
+from pentachain.cli import main
+from pentachain.report import MomentReport, MomentRow, moment_report, unexplained_failures
 
-from helpers import enumeration_moments
+from helpers import enumeration_moments, fraction_moment_report
 
 ORACLE_COLUMNS = (
     "expected_oracle",
@@ -103,3 +108,81 @@ def test_one_report_runs_the_t2_law_once(monkeypatch):
     assert dp_runs == [12]
     assert oracle_calls == [(IndexKind.GUTMAN, 12, Fraction(2, 7))]
     assert all(row.expected_verified_match and row.variance_match for row in rep.rows)
+
+
+def assert_same_report(got, want):
+    assert (got.n, got.p1, len(got.rows)) == (want.n, want.p1, len(want.rows))
+    for row, expected in zip(got.rows, want.rows):
+        for field in fields(MomentRow):
+            x, y = getattr(row, field.name), getattr(expected, field.name)
+            # repr also tells 0.0 from -0.0 and pins every float bit
+            assert type(x) is type(y) and x == y and repr(x) == repr(y), (
+                f"{field.name} of {row.index.value} at n={row.n}, p1={row.p1!r}: {x!r} != {y!r}"
+            )
+
+
+@pytest.mark.parametrize(
+    "p1",
+    [0, 1, Fraction(1, 5), Fraction(1, 2), Fraction(4, 5), Fraction(2, 7), 0.3, Fraction(0.3)],
+    ids=repr,
+)
+def test_integer_report_equals_the_fraction_report(p1):
+    # n = 1..24 crosses the oracle limit at n = 22
+    for n in range(1, 25):
+        assert_same_report(moment_report(n, p1), fraction_moment_report(n, p1))
+
+
+@given(n=st.integers(1, 24), b=st.integers(1, 60), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_integer_report_equals_the_fraction_report_at_random_rationals(n, b, data):
+    p1 = Fraction(data.draw(st.integers(0, b)), b)
+    assert_same_report(moment_report(n, p1), fraction_moment_report(n, p1))
+
+
+def _shifted_rec(kind, **shifts):
+    names = ("x1", "carry1", "slope1", "icept1", "slope2", "icept2", "acc_slope", "acc_icept", "scale")
+    row = dict(zip(names, indices_mod._REC[kind]))
+    for name, shift in shifts.items():
+        row[name] += shift
+    return tuple(row.values())
+
+
+@pytest.fixture
+def cold_closed_forms():
+    """The closed forms' caches emptied before and after the test, so the
+    fit and the slope are computed under the test's patches."""
+    caches = (
+        closedform._deterministic_chains,
+        closedform.fitted_expectation_coefficients,
+        closedform._squared_slope,
+        closedform._poly_forms,
+    )
+    for cached in caches:
+        cached.cache_clear()
+    yield
+    for cached in caches:
+        cached.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "kind, shifts, failures",
+    [
+        # the seed of the recurrence: every kf_star value moves by 5/5 = 1
+        (IndexKind.KF_STAR, {"x1": 5}, ["verified expectation"]),
+        # the mode-2 step moves, with both mode gaps still equal: the slope
+        # grows from 144 to 145 and the affine form stays well defined
+        (IndexKind.GUTMAN, {"slope2": 1, "icept2": 1}, ["verified expectation", "variance"]),
+    ],
+    ids=["kf_star-seed", "gutman-slope"],
+)
+def test_report_catches_an_error_in_the_recurrence_table(
+    kind, shifts, failures, monkeypatch, capsys, cold_closed_forms
+):
+    # the oracle maps T2 through the recurrence table; the verified cubics and
+    # the variance slope come from the structured matrix engine, so an error
+    # in the table is an unexplained failure, not a registry discrepancy
+    monkeypatch.setitem(indices_mod._REC, kind, _shifted_rec(kind, **shifts))
+    assert main(["report", "--nmax", "10", "--p1", "1/5,1/2"]) == 4
+    out = capsys.readouterr().out
+    for failure in failures:
+        assert f"{failure} of {kind.value} at n=" in out
