@@ -22,7 +22,7 @@ from .chain import ChainBlueprint, ProbabilityParams, build_graph, sample_bluepr
 from .closedform import expected_index, variance_index
 from .distribution import Standardization, monte_carlo, normality_test
 from .indices import MOMENT_INDICES, compute_indices, incremental_indices
-from .metrics import bfs_all_pairs, laplacian_resistance, structured_metrics
+from .metrics import _check_dense_size, bfs_all_pairs, laplacian_resistance, structured_metrics
 from .report import (
     expectation_grid_csv,
     report_csv,
@@ -191,8 +191,10 @@ def verify_engines(blueprint: ChainBlueprint):
     resistances within 1e-9 entrywise relative to the largest resistance
     (the float solve's error grows with the chain), matrix and O(n) engine
     index values exactly equal.  Raises EngineDisagreement otherwise;
-    returns the bundle.
+    returns the bundle.  A chain past the dense engines' cap is refused with
+    ValueError before any engine runs.
     """
+    _check_dense_size(5 * blueprint.n)
     graph = build_graph(blueprint)
     dist_struct, res_struct = structured_metrics(blueprint)
     dist_bfs = bfs_all_pairs(graph)

@@ -97,7 +97,9 @@ def compute_indices(
 
     Requires exact matrices (the float Laplacian engine is a cross-check at
     the matrix level, not an index source).  Full-matrix sums count each pair
-    twice, hence the division by 2 * denominator.
+    twice, hence the division by 2 * denominator.  The degree weights enter
+    through one product with the degree vector per matrix, never as V x V
+    weight matrices.
     """
     V = g.vertex_count
     for m, kind in ((dist, MetricKind.DISTANCE), (res, MetricKind.RESISTANCE)):
@@ -109,22 +111,14 @@ def compute_indices(
             raise ValueError("compute_indices needs exact matrices")
 
     deg = np.array(g.degrees, dtype=np.int64)
-    prod = deg[:, None] * deg[None, :]
-    sums = deg[:, None] + deg[None, :]
-
-    def pair_sum(weights: np.ndarray | None, m: MetricMatrix) -> Fraction:
-        total = int((m.data if weights is None else weights * m.data).sum())
-        return Fraction(total, 2 * m.denominator)
-
-    return IndexBundle(
-        n=g.n,
-        wiener=pair_sum(None, dist),
-        gutman=pair_sum(prod, dist),
-        schultz=pair_sum(sums, dist),
-        kirchhoff=pair_sum(None, res),
-        kf_star=pair_sum(prod, res),
-        kf_plus=pair_sum(sums, res),
-    )
+    values = []
+    for m in (dist, res):
+        # over ordered pairs of a symmetric m: sum deg_u deg_v m_uv is
+        # deg.m.deg, and sum (deg_u + deg_v) m_uv is 2 * 1.m.deg
+        m_deg = m.data @ deg
+        for total in (m.data.sum(), deg @ m_deg, 2 * m_deg.sum()):
+            values.append(Fraction(int(total), 2 * m.denominator))
+    return IndexBundle(g.n, *values)  # wiener, gutman, schultz, kirchhoff, kf_star, kf_plus
 
 
 # Recurrence table, one row per index, resistance rows scaled by 5 so all

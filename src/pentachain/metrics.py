@@ -2,9 +2,11 @@
 
 Three engines, deliberately redundant so they can check each other:
 
-* bfs_all_pairs       — breadth-first search from all sources at once, one
-                        round of numpy steps per level over a neighbour
-                        table built from the adjacency alone (distance only).
+* bfs_all_pairs       — breadth-first search from all sources at once over
+                        a table of each (source, vertex) cell's neighbour
+                        cells, built once from the adjacency alone: V^2 x
+                        max-degree intp entries, five numpy operations per
+                        level (distance only).
 * laplacian_resistance — Moore-Penrose pseudoinverse of the graph Laplacian
                          via the rank-one shift inv(L + J/m) (float).
 * structured_metrics  — exploits that every bridge is a cut edge, so any
@@ -96,10 +98,14 @@ def bfs_all_pairs(g: PentagonChainGraph) -> MetricMatrix:
     """Shortest-path distance matrix by breadth-first search from every source.
 
     All sources advance together: the frontier is the set of (source, vertex)
-    cells of the distance matrix at the current level, and each level is one
-    round of numpy steps over a neighbour table, O(diameter) steps in all.
-    Reads only g.adjacency, so it stays independent of the blueprint and the
-    structured engine.
+    cells of the flat distance matrix at the current level.  A cell table,
+    built once per graph, lists the neighbour cells of every cell:
+    cells[s*V + u] = s*V + table[u], V^2 * width entries of intp, where width
+    is the largest degree (3 on a chain: 8 * 3 * V^2 bytes, 24 MB at V =
+    1000).  Each level is then five numpy operations, O(diameter) levels in
+    all: take the frontier's neighbour cells, take their distances, compare
+    with 0, compress to the unvisited cells, put the level.  Reads only g.adjacency, so it stays
+    independent of the blueprint and the structured engine.
 
     Chain graphs are 5-cycles joined by cut edges, so every pair has one
     shortest path, no cell enters the frontier twice, and the work is
@@ -114,21 +120,28 @@ def bfs_all_pairs(g: PentagonChainGraph) -> MetricMatrix:
         [nbrs + (u,) * (width - len(nbrs)) for u, nbrs in enumerate(adjacency)],
         dtype=np.intp,
     ).reshape(V, width)
-    # cell s*V + u of the flat matrix steps to its neighbour w's cell by w - u
-    step = table - np.arange(V)[:, None]
-    dist = np.full((V, V), -1, dtype=np.int64)
-    cells = dist.reshape(-1)  # a view: writes land in dist
+    cells = (np.arange(V, dtype=np.intp)[:, None, None] * V + table).reshape(V * V, width)
+    dist = np.full(V * V, -1, dtype=np.int64)
     frontier = np.arange(V) * (V + 1)  # the diagonal cells (s, s)
-    cells[frontier] = 0
+    dist[frontier] = 0
     level = 0
     while frontier.size:
         level += 1
-        candidates = (frontier[:, None] + step[frontier % V]).reshape(-1)
-        frontier = candidates[cells[candidates] < 0]
-        cells[frontier] = level
+        candidates = cells.take(frontier, axis=0).reshape(-1)
+        frontier = candidates.compress(dist.take(candidates) < 0)
+        dist.put(frontier, level)
     if (dist < 0).any():
         raise ValueError("graph is not connected")
+    dist = dist.reshape(V, V)
     return MetricMatrix(size=V, kind=MetricKind.DISTANCE, data=dist, denominator=1)
+
+
+def _check_dense_size(V: int) -> None:
+    """Refuse, with ValueError, a graph too large for the dense engines."""
+    if V > DEFAULT_DENSE_CAP:
+        raise ValueError(
+            f"dense resistance engine capped at {DEFAULT_DENSE_CAP} vertices, got {V}"
+        )
 
 
 def laplacian_resistance(g: PentagonChainGraph) -> MetricMatrix:
@@ -139,20 +152,21 @@ def laplacian_resistance(g: PentagonChainGraph) -> MetricMatrix:
     graphs of more than DEFAULT_DENSE_CAP vertices with ValueError.
     """
     V = g.vertex_count
-    if V > DEFAULT_DENSE_CAP:
-        raise ValueError(
-            f"dense resistance engine capped at {DEFAULT_DENSE_CAP} vertices, got {V}"
-        )
-    adj = np.zeros((V, V), dtype=np.float64)
-    adj[
+    _check_dense_size(V)
+    # L + J/V in place: 1/V everywhere, minus 1 on each edge, plus the degree
+    # on the diagonal; the same floats as (diag(deg) - A) + 1/V
+    shifted = np.full((V, V), 1.0 / V)
+    shifted[
         np.repeat(np.arange(V), g.degrees),
         np.fromiter(itertools.chain.from_iterable(g.adjacency), dtype=np.intp),
-    ] = 1.0
-    lap = np.diag(adj.sum(axis=1)) - adj
-    M = np.linalg.inv(lap + 1.0 / V)
-    d = np.diag(M)
-    res = d[:, None] + d[None, :] - 2.0 * M
-    res = (res + res.T) / 2.0
+    ] -= 1.0
+    shifted.reshape(-1)[:: V + 1] += g.degrees
+    M = np.linalg.inv(shifted)
+    res = np.add.outer(M.diagonal(), M.diagonal())
+    M *= 2.0
+    res -= M
+    res += res.T  # numpy buffers the overlapping transpose
+    res /= 2.0
     np.fill_diagonal(res, 0.0)
     return MetricMatrix(size=V, kind=MetricKind.RESISTANCE, data=res, denominator=0)
 
@@ -168,36 +182,27 @@ def _structured(blueprint: ChainBlueprint, table: np.ndarray, bridge: int) -> np
 
     where out_t is the attachment position of pentagon t.  The middle sum is
     pref[b] - pref[a+1] with pref the cumulative entry-to-entry cost.
+
+    So m(u, v) = left[u] + right[v]: one outer sum, of which the block upper
+    triangle (a < b) is kept.  The matrix is that strict upper triangle plus
+    its transpose, with the n diagonal 5x5 blocks, the pentagon table itself,
+    written through a (n, 5, n, 5) view: about five passes over V^2 entries.
     """
     n = blueprint.n
-    V = 5 * n
-    pos = np.tile(np.arange(5), n)
-    pent = np.repeat(np.arange(n), 5)
+    # out[t]: attachment position of pentagon t; the last one's pad is unused
+    out = np.array(attachment_positions(blueprint) + [0], dtype=np.int64)
+    # pref[a]: cost from pentagon 0's entry vertex to pentagon a's (pref[n] unused)
+    pref = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(table[0, out] + bridge, out=pref[1:])
 
-    out = attachment_positions(blueprint)  # length n-1
-    out_arr = np.array(out + [0], dtype=np.int64)  # pad: last pentagon unused
-
-    step = table[0, out_arr[: n - 1]] + bridge if n > 1 else np.zeros(0, dtype=np.int64)
-    pref = np.zeros(n, dtype=np.int64)
-    if n > 1:
-        pref[1:] = np.cumsum(step)
-
-    # left[u]: cost from u to its pentagon's attachment vertex, minus the
-    # prefix at the next pentagon; right[v]: entry cost plus prefix.  Then
-    # cross(u, v) = left[u] + right[v] + bridge wherever pent[u] < pent[v].
-    to_out = table[pos, out_arr[pent]]
-    next_pref = np.zeros(V, dtype=np.int64)
-    next_pref[pent < n - 1] = pref[pent[pent < n - 1] + 1]
-    left = to_out - next_pref
-    right = table[0, pos] + pref[pent]
-
-    cross = left[:, None] + right[None, :] + bridge
-    upper = pent[:, None] < pent[None, :]
-    M = np.where(upper, cross, 0)
-    M = M + M.T
-    same = pent[:, None] == pent[None, :]
-    block = table[pos[:, None], pos[None, :]]
-    M[same] = block[same]
+    # left[5a + i]: cost from position i to pentagon a's attachment vertex,
+    # minus pref[a+1]; right[5b + j]: pref[b] + bridge + entry cost
+    left = (table[:, out] - pref[1:]).T.reshape(-1)
+    right = np.add.outer(pref[:n] + bridge, table[0]).reshape(-1)
+    M = np.triu(np.add.outer(left, right), 1)
+    M += M.T
+    diag = np.arange(n)
+    M.reshape(n, 5, n, 5)[diag, :, diag] = table  # a view: writes land in M
     return M
 
 

@@ -95,6 +95,62 @@ def bfs_distances(graph) -> np.ndarray:
     return np.array(rows, dtype=np.int64).reshape(len(adjacency), len(adjacency))
 
 
+def pair_loop_indices(graph, dist, res) -> IndexBundle:
+    """All six indices by a plain Python loop over unordered pairs u < v.
+
+    Sums integer numerators weighted by deg(u)deg(v) and deg(u) + deg(v),
+    one Fraction per index at the end, so it shares none of the matrix
+    algebra in compute_indices.
+    """
+    deg = graph.degrees
+    V = len(deg)
+    values = {}
+    for m, names in (
+        (dist, ("wiener", "gutman", "schultz")),
+        (res, ("kirchhoff", "kf_star", "kf_plus")),
+    ):
+        rows = m.data.tolist()
+        plain = product = total = 0
+        for u in range(V):
+            for v in range(u + 1, V):
+                x = rows[u][v]
+                plain += x
+                product += deg[u] * deg[v] * x
+                total += (deg[u] + deg[v]) * x
+        for name, value in zip(names, (plain, product, total)):
+            values[name] = Fraction(value, m.denominator)
+    return IndexBundle(n=graph.n, **values)
+
+
+def _laplacian_times(adjacency, X: np.ndarray) -> np.ndarray:
+    """L @ X in int64, row by row from the adjacency: deg(u) X[u] minus the
+    neighbours' rows."""
+    return np.array(
+        [len(nbrs) * X[u] - X[list(nbrs)].sum(axis=0) for u, nbrs in enumerate(adjacency)],
+        dtype=np.int64,
+    ).reshape(X.shape)
+
+
+def resistance_certificate(graph, res) -> bool:
+    """True exactly when res is the effective-resistance matrix of graph.
+
+    res holds numerators over 5 (X = 5R).  For a connected graph, R is the
+    resistance-distance matrix (Klein and Randic) if and only if it is
+    symmetric with a zero diagonal and L R L = -2L, where L is the graph
+    Laplacian: R = diag(L+) 1^T + 1 diag(L+)^T - 2L+ gives L R L = -2 L L+ L
+    = -2L, and the conditions leave no other solution.  Checked in int64 as
+    L X L = -10 L, with no float solve.
+    """
+    X = np.asarray(res.data, dtype=np.int64)
+    if res.denominator != 5 or not np.array_equal(X, X.T) or X.diagonal().any():
+        return False
+    adjacency = graph.adjacency
+    lap = _laplacian_times(adjacency, np.eye(len(adjacency), dtype=np.int64))
+    # L X L = L (L X)^T, since X and L are symmetric
+    lxl = _laplacian_times(adjacency, _laplacian_times(adjacency, X).T)
+    return np.array_equal(lxl, -10 * lap)
+
+
 def python_t2_law(n: int, p1) -> tuple[tuple[int, int], ...]:
     """The law of T2 as (value, numerator over b^(n-2)) pairs, zero masses
     dropped, by the dynamic program on a plain list of Python integers: no

@@ -240,6 +240,51 @@ def test_indices_stdout_is_golden(chain24, capsys):
     )
 
 
+# the cli names the benchmark's traced pass wraps, one span each
+ENGINE_NAMES = (
+    "build_graph",
+    "bfs_all_pairs",
+    "laplacian_resistance",
+    "structured_metrics",
+    "compute_indices",
+    "incremental_indices",
+)
+
+
+@pytest.fixture
+def engine_calls(monkeypatch):
+    """Count the calls that go through each of ENGINE_NAMES on cli."""
+    calls = dict.fromkeys(ENGINE_NAMES, 0)
+    for name in ENGINE_NAMES:
+        real = getattr(cli, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(cli, name, counted)
+    return calls
+
+
+def test_verified_indices_goes_through_each_engine_name_once(chain24, engine_calls, capsys):
+    code, out, _ = run(["indices", "--blueprint", chain24], capsys)
+    assert code == 0 and json.loads(out)["n"] == 24
+    assert engine_calls == dict.fromkeys(ENGINE_NAMES, 1)
+
+
+def test_over_cap_chain_is_refused_before_any_engine(tmp_path, engine_calls, capsys):
+    # 1,001 pentagons are 5,005 vertices, past the dense engines' cap
+    path = tmp_path / "bp.json"
+    path.write_text(all_mode_blueprint(1001, AttachmentMode.MODE2).to_json())
+    code, out, err = run(
+        ["indices", "--blueprint", str(path), "--verify-cap", "5000"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: dense resistance engine capped at 5000 vertices, got 5005\n"
+    assert engine_calls == dict.fromkeys(ENGINE_NAMES, 0)
+
+
 def test_cached_parser_keeps_no_state_between_calls(chain24, capsys):
     assert main(["report", "--pretty", "--nmax", "2"]) == 0
     assert main(["indices", "--blueprint", chain24]) == 0

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -23,12 +24,13 @@ from pentachain import (
     enumerate_blueprints,
     incremental_indices,
     laplacian_resistance,
+    sample_blueprint,
     structured_metrics,
     t2_of_blueprint,
     t2_weights,
 )
 
-from helpers import carry_indices
+from helpers import carry_indices, pair_loop_indices
 
 M1 = AttachmentMode.MODE1
 M2 = AttachmentMode.MODE2
@@ -107,6 +109,24 @@ def test_exhaustive_engine_equality():
 @settings(max_examples=25, deadline=None)
 def test_random_engine_equality(bp):
     assert matrix_indices(bp) == incremental_indices(bp)
+
+
+def pair_loop_chains():
+    p = ProbabilityParams(Fraction(1, 2))
+    for n in range(1, 7):
+        for bp, _ in enumerate_blueprints(n, p):
+            yield bp
+    rng = np.random.Generator(np.random.PCG64(11))
+    for _ in range(20):
+        yield sample_blueprint(int(rng.integers(1, 31)), p, rng)
+
+
+def test_compute_indices_equals_the_pair_loop():
+    # pins the degree-vector sums deg.D.deg and 2 * 1.D.deg to the definitions
+    for bp in pair_loop_chains():
+        g = build_graph(bp)
+        dist, res = structured_metrics(bp)
+        assert compute_indices(g, dist, res) == pair_loop_indices(g, dist, res), bp.to_json()
 
 
 def test_compute_indices_rejects_bad_matrices():

@@ -10,6 +10,7 @@ from pentachain import (
     AttachmentMode,
     ChainBlueprint,
     MetricKind,
+    MetricMatrix,
     PentagonChainGraph,
     all_mode_blueprint,
     bfs_all_pairs,
@@ -21,7 +22,7 @@ from pentachain import (
     ProbabilityParams,
 )
 
-from helpers import bfs_distances
+from helpers import bfs_distances, resistance_certificate
 
 M1 = AttachmentMode.MODE1
 M2 = AttachmentMode.MODE2
@@ -166,6 +167,40 @@ def test_bfs_refuses_a_disconnected_graph():
     two_triangles = [(1, 2), (0, 2), (0, 1), (4, 5), (3, 5), (3, 4)]
     with pytest.raises(ValueError, match="not connected"):
         bfs_all_pairs(hand_built(two_triangles))
+
+
+def certificate_chains():
+    yield from small_blueprints(7)
+    rng = np.random.Generator(np.random.PCG64(7))
+    p = ProbabilityParams(Fraction(1, 2))
+    for _ in range(30):
+        yield sample_blueprint(int(rng.integers(8, 61)), p, rng)
+    # the float Laplacian check is weakest here: gap about 2.7e-9
+    yield all_mode_blueprint(200, M2)
+
+
+def test_structured_resistance_passes_the_exact_certificate():
+    for bp in certificate_chains():
+        assert resistance_certificate(build_graph(bp), structured_metrics(bp)[1]), bp.to_json()
+
+
+@pytest.mark.parametrize(
+    "bp",
+    [ChainBlueprint(n=4, choices=(M2, M1)), all_mode_blueprint(200, M2)],
+    ids=lambda b: f"n{b.n}",
+)
+def test_resistance_certificate_catches_one_corrupted_entry(bp):
+    g = build_graph(bp)
+    _, res = structured_metrics(bp)
+    assert resistance_certificate(g, res)
+    u, v = 1, res.size - 2
+    data = res.data.copy()
+    data[u, v] += 1  # r(u, v) moves by 1/5, symmetrically
+    data[v, u] += 1
+    assert not resistance_certificate(g, MetricMatrix(res.size, res.kind, data, res.denominator))
+    data = res.data.copy()
+    data[u, v] += 1  # one-sided: no longer symmetric
+    assert not resistance_certificate(g, MetricMatrix(res.size, res.kind, data, res.denominator))
 
 
 def laplacian_adjacency_by_rows(g):
