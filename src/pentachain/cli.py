@@ -24,9 +24,9 @@ from .distribution import Standardization, monte_carlo, normality_test
 from .indices import MOMENT_INDICES, compute_indices, incremental_indices
 from .metrics import _check_dense_size, bfs_all_pairs, laplacian_resistance, structured_metrics
 from .report import (
+    _report_payload,
     expectation_grid_csv,
     report_csv,
-    report_json,
     report_text,
     unexplained_failures,
     verification_table,
@@ -357,7 +357,7 @@ def cmd_report(config: RunConfig) -> tuple[str, int]:
                 )
             text += "\n" + "\n".join(mc_lines) + "\n"
         return text, code
-    payload = json.loads(report_json(reports))
+    payload = _report_payload(reports)
     if config.with_mc:
         payload["monte_carlo"] = _mc_section(config, range(1, config.nmax + 1), p_list)
     return json.dumps(payload, indent=2), code

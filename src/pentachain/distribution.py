@@ -10,8 +10,9 @@ logical streams: stream s is seeded with
 SeedSequence(masterSeed, spawn_key=(s,)) and owns the sample indices
 congruent to s mod 64, in fixed chunks, so the result of a run depends only
 on (masterSeed, sampleCount) and never on the number of worker processes.
-Per-chunk two-pass statistics are merged with the exact pairwise Welford
-combination in fixed stream order.
+Each stream reduces its draws to the exact integer statistics of T2 (count,
+sum, sum of squares, min, max); the streams' totals are added exactly and
+mapped to each index once, so no float merge order enters the result.
 
 The normality check standardizes samples by the verified closed-form moments
 (or by sample moments on request) and measures the two-sided Kolmogorov
@@ -166,7 +167,8 @@ def exact_distribution(index: IndexKind, n: int, p1) -> ExactDistribution:
 
 @dataclass(frozen=True)
 class SampleStats:
-    """Streaming summary (Welford form) of Monte Carlo draws of one index."""
+    """Summary of Monte Carlo draws of one index: m2 is the sum of squared
+    deviations from the mean."""
 
     index: IndexKind
     count: int
@@ -182,45 +184,6 @@ class SampleStats:
         if self.count < 2:
             return 0.0
         return self.m2 / (self.count - 1)
-
-    def merge(self, other: "SampleStats") -> "SampleStats":
-        """Exact pairwise combination of two disjoint sample summaries."""
-        if other.index is not self.index or other.seed != self.seed:
-            raise ValueError("can only merge stats of the same index and seed")
-        block = _merge_block(
-            (self.count, self.mean, self.m2, self.min, self.max),
-            (other.count, other.mean, other.m2, other.min, other.max),
-        )
-        return SampleStats(self.index, *block, seed=self.seed)
-
-    @classmethod
-    def from_values(cls, index: IndexKind, values, seed: int) -> "SampleStats":
-        """Two-pass summary of a value array (test fixtures, small dumps)."""
-        arr = np.asarray(values, dtype=np.float64)
-        mean = float(arr.mean())
-        return cls(
-            index=index,
-            count=arr.size,
-            mean=mean,
-            m2=float(((arr - mean) ** 2).sum()),
-            min=float(arr.min()),
-            max=float(arr.max()),
-            seed=seed,
-        )
-
-
-def _merge_block(a, b):
-    na, mean_a, m2a, min_a, max_a = a
-    nb, mean_b, m2b, min_b, max_b = b
-    nc = na + nb
-    delta = mean_b - mean_a
-    return (
-        nc,
-        mean_a + delta * (nb / nc),
-        m2a + m2b + delta * delta * (na * nb / nc),
-        min(min_a, min_b),
-        max(max_a, max_b),
-    )
 
 
 def _check_sampling(n: int, p1, sample_count: int) -> float:
@@ -265,22 +228,23 @@ def _t2_chunks(master_seed: int, stream: int, sample_count: int, n: int, p1f: fl
 
 
 def _stream_stats(args):
-    """Chunked two-pass stats of one logical stream, one block per index."""
-    master_seed, stream, sample_count, n, p1f, bases, slopes = args
-    blocks = [None] * len(bases)
+    """(count, sum T2, sum T2^2, min T2, max T2) of one logical stream, exact.
+
+    Each chunk sums on int64 while _CHUNK * C(n,3)^2 < 2^63, and on Python
+    integers beyond; the running totals are Python integers.
+    """
+    master_seed, stream, sample_count, n, p1f = args
+    top = math.comb(n, 3)  # T2 lies in [0, C(n,3)]
+    dtype = np.int64 if _CHUNK * top * top < 2**63 else object
+    count = s1 = s2 = hi = 0
+    lo = top
     for t2 in _t2_chunks(master_seed, stream, sample_count, n, p1f):
-        for i, (base, slope) in enumerate(zip(bases, slopes)):
-            vals = base + slope * t2
-            mean = float(vals.mean())
-            block = (
-                len(vals),
-                mean,
-                float(((vals - mean) ** 2).sum()),
-                float(vals.min()),
-                float(vals.max()),
-            )
-            blocks[i] = block if blocks[i] is None else _merge_block(blocks[i], block)
-    return blocks
+        t = t2.astype(dtype, copy=False)
+        count += t.size
+        s1 += int(t.sum())
+        s2 += int(t @ t)
+        lo, hi = min(lo, int(t.min())), max(hi, int(t.max()))
+    return count, s1, s2, lo, hi
 
 
 def monte_carlo(
@@ -293,22 +257,18 @@ def monte_carlo(
 ) -> dict[IndexKind, SampleStats]:
     """Sample random chains and summarize the given indices.
 
-    One chain draw feeds every requested index.  Deterministic in
-    (master_seed, sample_count) alone: logical streams own fixed sample
-    slots and merge in fixed order, so any worker count gives bit-identical
-    results.
+    One chain draw feeds every requested index.  Every stream returns the
+    integer statistics of its T2 draws; their sums are exact, and each index
+    maps them once through its base + slope * T2, one exact rational per
+    field rounded once to a float.  Deterministic in (master_seed,
+    sample_count) alone: logical streams own fixed sample slots, so any
+    worker count gives bit-identical results.
     """
     kinds = (indices,) if isinstance(indices, IndexKind) else tuple(indices)
     if not kinds:
         raise ValueError("need at least one index")
     p1f = _check_sampling(n, p1, sample_count)
-    pairs = [affine_in_t2(kind, n) for kind in kinds]
-    bases = tuple(float(base) for base, _ in pairs)
-    slopes = tuple(float(slope) for _, slope in pairs)
-    tasks = [
-        (master_seed, s, sample_count, n, p1f, bases, slopes)
-        for s in range(min(_STREAMS, sample_count))
-    ]
+    tasks = [(master_seed, s, sample_count, n, p1f) for s in range(min(_STREAMS, sample_count))]
     if workers > 1:
         # imported here: the process pool pulls in multiprocessing, about 2 MB
         # of resident memory that single-worker runs never use
@@ -318,12 +278,22 @@ def monte_carlo(
             results = list(pool.map(_stream_stats, tasks))
     else:
         results = [_stream_stats(task) for task in tasks]
+    counts, s1s, s2s, los, his = zip(*results)
+    count, s1, s2, lo, hi = sum(counts), sum(s1s), sum(s2s), min(los), max(his)
+    t2_mean = Fraction(s1, count)
+    t2_m2 = Fraction(s2 * count - s1 * s1, count)
     stats = {}
-    for i, kind in enumerate(kinds):
-        acc = results[0][i]
-        for blocks in results[1:]:
-            acc = _merge_block(acc, blocks[i])
-        stats[kind] = SampleStats(kind, *acc, seed=master_seed)
+    for kind in kinds:
+        base, slope = affine_in_t2(kind, n)
+        stats[kind] = SampleStats(
+            kind,
+            count,
+            mean=float(base + slope * t2_mean),
+            m2=float(slope * slope * t2_m2),
+            min=float(base + slope * lo),
+            max=float(base + slope * hi),
+            seed=master_seed,
+        )
     return stats
 
 

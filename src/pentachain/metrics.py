@@ -111,9 +111,12 @@ def bfs_all_pairs(g: PentagonChainGraph) -> MetricMatrix:
     shortest path, no cell enters the frontier twice, and the work is
     O(V*E).  On a graph with several shortest paths the distances stay
     right, but a cell is repeated once per shortest path, and so is the work.
+    Refuses graphs of more than DEFAULT_DENSE_CAP vertices with ValueError
+    before the table is built.
     """
     adjacency = g.adjacency
     V = len(adjacency)
+    _check_dense_size(V)
     width = max(map(len, adjacency), default=0)
     # pad row u with u itself: u is on the frontier, so the pad reads as visited
     table = np.array(
@@ -171,7 +174,7 @@ def laplacian_resistance(g: PentagonChainGraph) -> MetricMatrix:
     return MetricMatrix(size=V, kind=MetricKind.RESISTANCE, data=res, denominator=0)
 
 
-def _structured(blueprint: ChainBlueprint, table: np.ndarray, bridge: int) -> np.ndarray:
+def _structured(out: np.ndarray, table: np.ndarray, bridge: int) -> np.ndarray:
     """Compose one pentagon metric table along the chain via prefix sums.
 
     For u in pentagon a and v in pentagon b with a < b (0-based):
@@ -188,9 +191,7 @@ def _structured(blueprint: ChainBlueprint, table: np.ndarray, bridge: int) -> np
     its transpose, with the n diagonal 5x5 blocks, the pentagon table itself,
     written through a (n, 5, n, 5) view: about five passes over V^2 entries.
     """
-    n = blueprint.n
-    # out[t]: attachment position of pentagon t; the last one's pad is unused
-    out = np.array(attachment_positions(blueprint) + [0], dtype=np.int64)
+    n = out.size
     # pref[a]: cost from pentagon 0's entry vertex to pentagon a's (pref[n] unused)
     pref = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(table[0, out] + bridge, out=pref[1:])
@@ -214,8 +215,10 @@ def structured_metrics(blueprint: ChainBlueprint) -> tuple[MetricMatrix, MetricM
     positions.  Output is exact: int64 distances and int64 resistance
     numerators over denominator 5.
     """
-    dist = _structured(blueprint, PENTAGON_DISTANCE, 1)
-    res = _structured(blueprint, PENTAGON_RESISTANCE_X5, 5)
+    # out[t]: attachment position of pentagon t; the last one's pad is unused
+    out = np.array(attachment_positions(blueprint) + [0], dtype=np.int64)
+    dist = _structured(out, PENTAGON_DISTANCE, 1)
+    res = _structured(out, PENTAGON_RESISTANCE_X5, 5)
     V = 5 * blueprint.n
     return (
         MetricMatrix(size=V, kind=MetricKind.DISTANCE, data=dist, denominator=1),

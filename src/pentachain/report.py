@@ -93,7 +93,7 @@ class MomentRow:
 
 @dataclass(frozen=True)
 class MomentReport:
-    """All requested indices at one (n, p1)."""
+    """The moment indices at one (n, p1)."""
 
     n: int
     p1: Fraction | float
@@ -112,53 +112,35 @@ class MomentReport:
         ]
 
 
-def moment_report(n, p1, indices=MOMENT_INDICES) -> MomentReport:
+def moment_report(n, p1) -> MomentReport:
     """Evaluate closed forms at (n, p1) and compare with the exact law.
 
-    p1 is coerced once and passed on as a Fraction (rational input) or a
-    float.  The closed forms come from the cached integer tables: verified
-    cubics and variance slope fitted from the structured matrix engine,
-    reference cubics from the paper.  The oracle columns fill only for
-    n <= _ORACLE_NMAX (22), from one exact_distribution call for the first
-    index: every index maps the moments of T2 through its own
-    base + slope * T2 in integers.  For longer chains the closed forms are
-    reported alone and every flag stays None.
+    One row per index of MOMENT_INDICES.  p1 is coerced once and passed on
+    as a Fraction (rational input) or a float.  The closed forms come from
+    the cached integer tables: verified cubics and variance slope fitted from
+    the structured matrix engine, reference cubics from the paper.  The
+    oracle columns fill only for n <= _ORACLE_NMAX (22), from one
+    exact_distribution call: every index maps the moments of T2 through its
+    own base + slope * T2 in integers.  For longer chains the closed forms
+    are reported alone and every flag stays None.
     """
     p, _ = _coerce_p1(p1)
     run_oracle = n <= _ORACLE_NMAX
-    t2_moments = None
+    if run_oracle:
+        # one T2-law dynamic program per (n, p1); every index maps its moments
+        law = exact_distribution(MOMENT_INDICES[0], n, p)
+        t2_moments = law.t2_mean, law.t2_variance
     rows = []
-    for kind in indices:
+    for kind in MOMENT_INDICES:
         reference = expected_index(kind, n, p, source=Source.REFERENCE)
         verified = expected_index(kind, n, p, source=Source.VERIFIED)
         variance = variance_index(kind, n, p)
-        if not run_oracle:
-            rows.append(
-                MomentRow(
-                    index=kind,
-                    n=n,
-                    p1=p1,
-                    expected_reference=reference,
-                    expected_verified=verified,
-                    variance=variance,
-                )
-            )
-            continue
-        if t2_moments is None:
-            # one T2-law dynamic program per (n, p1); every index maps its moments
-            law = exact_distribution(kind, n, p)
-            t2_moments = law.t2_mean, law.t2_variance
-        mean_num, mean_den, var_num, var_den = _index_moments(kind, n, *t2_moments)
-        e_gap_abs, e_gap_rel = _gaps(reference, mean_num, mean_den)
-        v_gap_abs, v_gap_rel = _gaps(variance, var_num, var_den)
-        rows.append(
-            MomentRow(
-                index=kind,
-                n=n,
-                p1=p1,
-                expected_reference=reference,
-                expected_verified=verified,
-                variance=variance,
+        oracle = {}
+        if run_oracle:
+            mean_num, mean_den, var_num, var_den = _index_moments(kind, n, *t2_moments)
+            e_gap_abs, e_gap_rel = _gaps(reference, mean_num, mean_den)
+            v_gap_abs, v_gap_rel = _gaps(variance, var_num, var_den)
+            oracle = dict(
                 expected_oracle=Fraction(mean_num, mean_den),
                 variance_oracle=Fraction(var_num, var_den),
                 expected_reference_match=_matches(reference, mean_num, mean_den),
@@ -169,13 +151,23 @@ def moment_report(n, p1, indices=MOMENT_INDICES) -> MomentReport:
                 variance_gap_abs=v_gap_abs,
                 variance_gap_rel=v_gap_rel,
             )
+        rows.append(
+            MomentRow(
+                index=kind,
+                n=n,
+                p1=p1,
+                expected_reference=reference,
+                expected_verified=verified,
+                variance=variance,
+                **oracle,
+            )
         )
     return MomentReport(n=n, p1=p1, rows=tuple(rows))
 
 
-def verification_table(nmax, p1, indices=MOMENT_INDICES) -> list[MomentReport]:
+def verification_table(nmax, p1) -> list[MomentReport]:
     """Moment reports for every n = 1..nmax at one p1."""
-    return [moment_report(n, p1, indices=indices) for n in range(1, nmax + 1)]
+    return [moment_report(n, p1) for n in range(1, nmax + 1)]
 
 
 def unexplained_failures(reports) -> list[str]:
@@ -314,8 +306,9 @@ def report_csv(reports) -> str:
     return "\n".join(lines) + "\n"
 
 
-def report_json(reports) -> str:
-    payload = {
+def _report_payload(reports) -> dict:
+    """The JSON report as a dict: reports, discrepancies, unexplained failures."""
+    return {
         "reports": [
             {
                 "n": report.n,
@@ -336,7 +329,10 @@ def report_json(reports) -> str:
         ],
         "unexplained_failures": unexplained_failures(reports),
     }
-    return json.dumps(payload, indent=2)
+
+
+def report_json(reports) -> str:
+    return json.dumps(_report_payload(reports), indent=2)
 
 
 def expectation_grid_csv(n_values, p1_values) -> str:

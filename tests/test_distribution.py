@@ -25,6 +25,7 @@ from pentachain import (
     ks_statistic,
     monte_carlo,
     normality_test,
+    affine_in_t2,
     sample_values,
     t2_weights,
     variance_index,
@@ -248,32 +249,13 @@ def test_distribution_csv():
     )
 
 
-def test_sample_stats_merge_matches_two_pass():
-    rng = np.random.default_rng(3)
-    values = rng.normal(5.0, 2.0, size=1001)
-    whole = SampleStats.from_values(IndexKind.GUTMAN, values, seed=0)
-    parts = [
-        SampleStats.from_values(IndexKind.GUTMAN, chunk, seed=0)
-        for chunk in np.array_split(values, 7)
-    ]
-    merged = parts[0]
-    for part in parts[1:]:
-        merged = merged.merge(part)
-    assert merged.count == whole.count == 1001
-    assert math.isclose(merged.mean, whole.mean, rel_tol=1e-12)
-    assert math.isclose(merged.m2, whole.m2, rel_tol=1e-9)
-    assert merged.min == whole.min and merged.max == whole.max
-
-
 def test_sample_stats_guards():
-    a = SampleStats.from_values(IndexKind.GUTMAN, [1.0, 2.0], seed=0)
-    with pytest.raises(ValueError):
-        a.merge(SampleStats.from_values(IndexKind.SCHULTZ, [1.0], seed=0))
-    with pytest.raises(ValueError):
-        a.merge(SampleStats.from_values(IndexKind.GUTMAN, [1.0], seed=9))
-    single = SampleStats.from_values(IndexKind.GUTMAN, [4.0], seed=0)
-    assert single.variance == 0.0
-    assert a.variance == 0.5
+    def stats(count, m2):
+        return SampleStats(IndexKind.GUTMAN, count, 4.0, m2, 4.0, 4.0, seed=0)
+
+    assert stats(0, 0.0).variance == 0.0
+    assert stats(1, 0.0).variance == 0.0
+    assert stats(2, 0.5).variance == 0.5
 
 
 def test_monte_carlo_deterministic_and_worker_invariant():
@@ -284,6 +266,49 @@ def test_monte_carlo_deterministic_and_worker_invariant():
     assert runs[0] == runs[1] == runs[2]
     stats = runs[0][IndexKind.GUTMAN]
     assert stats.count == 3000 and stats.seed == 99
+
+
+def test_monte_carlo_worker_invariant_over_multi_chunk_streams():
+    # 64 * 4096 + 1 draws: stream 0 runs two chunks, the others one full chunk
+    count = distribution._STREAMS * distribution._CHUNK + 1
+    runs = [monte_carlo(MOMENT_INDICES, 6, Fraction(1, 3), count, 5, workers=w) for w in (1, 2)]
+    assert runs[0] == runs[1]
+    assert runs[0][IndexKind.GUTMAN].count == count
+
+
+def test_monte_carlo_fields_are_exact_rationals_rounded_once():
+    # Schultz has an integer base and slope: its draws are exact integers in
+    # float64, so each T2 draw is recovered exactly from them
+    n, p1, m, seed = 12, Fraction(2, 5), 9000, 8
+    schultz_base, schultz_slope = affine_in_t2(IndexKind.SCHULTZ, n)
+    assert schultz_base.denominator == schultz_slope.denominator == 1
+    values = sample_values(IndexKind.SCHULTZ, n, p1, m, seed)
+    t2 = [(Fraction(int(v)) - schultz_base) / schultz_slope for v in values]
+    assert all(t.denominator == 1 and v == int(v) for t, v in zip(t2, values))
+    mean_t2 = sum(t2) / m
+    m2_t2 = sum((t - mean_t2) ** 2 for t in t2)
+    stats = monte_carlo(MOMENT_INDICES, n, p1, m, seed)
+    for kind in MOMENT_INDICES:
+        base, slope = affine_in_t2(kind, n)
+        got = stats[kind]
+        assert got.count == m
+        assert got.mean == float(base + slope * mean_t2)
+        assert got.m2 == float(slope * slope * m2_t2)
+        assert got.min == float(base + slope * min(t2))
+        assert got.max == float(base + slope * max(t2))
+
+
+@pytest.mark.parametrize("n", [658, 659, 3_000_000])
+def test_stream_stats_are_exact_on_both_sides_of_the_int64_bound(n, monkeypatch):
+    # 659 is the smallest n with _CHUNK * C(n,3)^2 >= 2^63: a full chunk of
+    # the largest T2 would wrap an int64 sum of squares from there on
+    top = math.comb(n, 3)
+    chunk = distribution._CHUNK
+    chunks = [np.full(chunk, top, dtype=np.int64), np.array([0, top - 1], dtype=np.int64)]
+    monkeypatch.setattr(distribution, "_t2_chunks", lambda *args: iter(chunks))
+    got = distribution._stream_stats((0, 0, chunk + 2, n, 0.5))
+    assert got == (chunk + 2, (chunk + 1) * top - 1, chunk * top * top + (top - 1) ** 2, 0, top)
+    assert all(type(x) is int for x in got)
 
 
 def test_monte_carlo_matches_exact_law():
@@ -314,10 +339,10 @@ def test_sample_values_consistent_with_stats():
     stats = monte_carlo((IndexKind.SCHULTZ,), 12, Fraction(1, 2), 5000, 31)[
         IndexKind.SCHULTZ
     ]
-    direct = SampleStats.from_values(IndexKind.SCHULTZ, values, seed=31)
-    assert math.isclose(stats.mean, direct.mean, rel_tol=1e-12)
-    assert math.isclose(stats.m2, direct.m2, rel_tol=1e-9)
-    assert stats.min == direct.min and stats.max == direct.max
+    assert stats.count == values.size
+    assert math.isclose(stats.mean, values.mean(), rel_tol=1e-12)
+    assert math.isclose(stats.m2, ((values - values.mean()) ** 2).sum(), rel_tol=1e-9)
+    assert stats.min == values.min() and stats.max == values.max()
 
 
 def test_ks_statistic_hand_values():

@@ -227,3 +227,10 @@ def test_laplacian_is_bit_identical_to_the_row_by_row_build(bp):
     res = (res + res.T) / 2.0
     np.fill_diagonal(res, 0.0)
     assert np.array_equal(laplacian_resistance(g).data, res)
+
+
+def test_bfs_refuses_a_graph_past_the_dense_cap():
+    # V = 5005: the cell table alone would take 8 * 3 * V^2 bytes, about 600 MB
+    g = build_graph(all_mode_blueprint(1001, M2))
+    with pytest.raises(ValueError, match="capped at 5000 vertices, got 5005"):
+        bfs_all_pairs(g)
