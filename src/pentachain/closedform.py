@@ -50,6 +50,8 @@ F = Fraction
 class Source(Enum):
     """Which coefficient table to evaluate."""
 
+    __hash__ = object.__hash__  # identity, as for IndexKind: no Python call per lookup
+
     REFERENCE = "reference"
     VERIFIED = "verified"
 
@@ -62,6 +64,8 @@ class SequenceKind(Enum):
     C: degree-weighted resistance load E[sum_v d(v) r(u_n, v)]
     D: resistance load                E[sum_v r(u_n, v)]
     """
+
+    __hash__ = object.__hash__  # identity, as for IndexKind
 
     A = "A"
     B = "B"
@@ -227,18 +231,17 @@ def _coerce_p1(p1):
     the value on at almost no cost; any other input but a float goes
     through Fraction().
     """
+    if type(p1) is Fraction or type(p1) is int:  # the common case, tested first
+        if 0 <= p1.numerator <= p1.denominator:
+            return p1, True
+        raise ValueError(f"p1 must lie in [0, 1], got {p1!r}")
     if isinstance(p1, ProbabilityParams):
-        p1 = p1.p1
-    if type(p1) is Fraction or type(p1) is int:
-        value, exact = p1, True
-        in_range = 0 <= p1.numerator <= p1.denominator
-    elif isinstance(p1, float):
+        return _coerce_p1(p1.p1)
+    if isinstance(p1, float):
         value, exact = p1, False
-        in_range = 0 <= value <= 1
     else:
         value, exact = Fraction(p1), True
-        in_range = 0 <= value <= 1
-    if not in_range:
+    if not 0 <= value <= 1:
         raise ValueError(f"p1 must lie in [0, 1], got {p1!r}")
     return value, exact
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -99,67 +100,95 @@ def _index_moments(index, n, t2_mean, t2_variance) -> tuple[int, int, int, int]:
 def _index_law(index, n, p1, law, t2_mean, t2_variance) -> ExactDistribution:
     mean_num, mean_den, var_num, var_den = _index_moments(index, n, t2_mean, t2_variance)
     return ExactDistribution(
-        index=index,
-        n=n,
-        p1=p1,
-        law=law,
-        t2_mean=t2_mean,
-        t2_variance=t2_variance,
-        mean=Fraction(mean_num, mean_den),
-        variance=Fraction(var_num, var_den),
+        index,
+        n,
+        p1,
+        law,
+        t2_mean,
+        t2_variance,
+        Fraction(mean_num, mean_den),
+        Fraction(var_num, var_den),
     )
 
 
 def exact_distribution(index: IndexKind, n: int, p1) -> ExactDistribution:
     """Exact distribution of one index over all 2^(n-2) chains of length n.
 
-    The index is base + slope * T2.  With p1 = a/b, the law of T2 has integer
-    numerators over b^(n-2) from one pass num <- a*num + (b-a)*shift(num, w_k)
-    over k = 2..n-1, and its moments come from integer sums over T2.  That
-    law is the same for every index: call for_index on the result for the
-    other indices at this (n, p1) rather than running the pass again.  p1 is
-    used exactly: float input is converted through Fraction(float), so
-    probabilities always sum to exactly 1.
+    The index is base + slope * T2.  With p1 = a/b and c = b - a, the law of
+    T2 has integer numerators over b^(n-2): each choice k multiplies the
+    generating function by a + c * z^(w_k).  The weights are symmetric,
+    w_k = w_(n+1-k), and two choices share a weight only when they are such a
+    pair, so the dynamic program makes one round per distinct weight: a pair
+    round num <- a^2*num + 2ac*shift(num, w) + c^2*shift(num, 2w), and one
+    single round num <- a*num + c*shift(num, w) for the middle weight when
+    n - 2 is odd.  Multiplications by 1 are skipped.  The moments come from
+    integer sums over T2.  That law is the same for every index: call
+    for_index on the result for the other indices at this (n, p1) rather
+    than running the pass again.  p1 is used exactly: float input is
+    converted through Fraction(float), so probabilities always sum to
+    exactly 1.
 
     Every partial numerator is at most b^(n-2), so the pass runs on int64
     when b^(n-2) < 2^63 (p1 = 1/2 up to n = 64, p1 = 1/3 up to n = 41) and
-    on Python integers otherwise; the law and its sums are Python integers
-    either way.  There is no length limit: the pass makes n - 2 rounds of
-    three array operations over at most C(n,3) + 1 entries.  On a 2-CPU
-    x86-64 host with Python 3.11 and numpy 2.4 (timeit, best of 5) that is
-    about 0.06 ms at n = 16 and 0.15 ms at n = 22 for p1 = 1/3; 0.85 ms at
-    n = 40, 5 ms at n = 64 and 65 ms at n = 70 for p1 = 1/2 (Python integers
-    from n = 65); and 0.4 s at n = 70 for p1 = 0.3 (denominator 2^54).  The
-    host's speed drifts by up to 2x between spells.  Raises ValueError for
-    n < 1 or p1 outside [0, 1].
+    on Python integers otherwise; the law is Python integers either way.
+    The sums sum c, sum t*c and sum t^2*c run on the int64 arrays while
+    b^(n-2) * C(n,3)^2 < 2^63 (p1 = 1/5 and 4/5 up to n = 20, p1 = 1/2 up to
+    n = 38), and Python-integer sums beyond.  There is no length limit: the
+    pass makes ceil((n-2)/2) rounds over at most C(n,3) + 1 entries.  On a
+    2-CPU x86-64 host with Python 3.11 and numpy 2.4 (timeit, best of 7)
+    that is about 0.08 ms at n = 16 and 0.15 ms at n = 22 for p1 = 1/3;
+    1.2 ms at n = 40, 8 ms at n = 64 and 49 ms at n = 70 for p1 = 1/2
+    (Python integers from n = 65); and 0.7 s at n = 70 for p1 = 0.3
+    (denominator 2^54).  The host's speed drifts by up to 2x between spells.
+    Raises ValueError for n < 1 or p1 outside [0, 1].
     """
     value = _coerce_p1(p1)[0]
     exact = value if type(value) is Fraction else Fraction(value)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     a, b = exact.numerator, exact.denominator
+    c = b - a
     denom = b ** max(0, n - 2)
     weights = t2_weights(n).tolist()
-    num = np.zeros(sum(weights) + 1, dtype=np.int64 if denom < 2**63 else object)
+    top = sum(weights)  # the largest T2
+    num = np.zeros(top + 1, dtype=np.int64 if denom < 2**63 else object)
     num[0] = 1
     hi = 0
-    for w in weights:
-        shifted = (b - a) * num[: hi + 1]
-        num[: hi + 1] *= a
-        num[w : hi + w + 1] += shifted
-        hi += w
+    # rounds grouped by weight value, not by position: a law that lost a
+    # choice still runs, and fails the total check below
+    for w, times in Counter(weights).items():
+        filled = num[: hi + 1]
+        if times == 2:  # times (a + c*z^w)^2
+            near = filled * (2 * a * c)
+            far = filled * (c * c) if c != 1 else filled.copy()
+            if a != 1:
+                filled *= a * a
+            num[w : hi + w + 1] += near
+            num[2 * w : hi + 2 * w + 1] += far
+        else:  # times a + c*z^w
+            moved = filled * c if c != 1 else filled.copy()
+            if a != 1:
+                filled *= a
+            num[w : hi + w + 1] += moved
+        hi += times * w
     support = np.flatnonzero(num)
-    values, counts = support.tolist(), num[support].tolist()
+    counts = num[support]
+    values, count_list = support.tolist(), counts.tolist()
     # a list first: tuple() of an iterator grows its result by realloc, and
     # CPython then parks each discarded short law in its tuple free lists
     # (up to 2000 per length below 20) until a full garbage collection
-    law = tuple(list(zip(values, counts)))
-    if sum(counts) != denom:
+    law = tuple(list(zip(values, count_list)))
+    # s1 = sum t*c and s2 = sum t*(t*c), on int64 while no term or sum can
+    # pass 2^63, on Python integers beyond
+    if denom * top * top < 2**63:
+        t_counts = support * counts
+        total, s1, s2 = int(counts.sum()), int(t_counts.sum()), int(t_counts @ support)
+    else:
+        t_counts = list(map(operator.mul, values, count_list))
+        total, s1 = sum(count_list), sum(t_counts)
+        s2 = sum(map(operator.mul, values, t_counts))
+    if total != denom:
         raise ArithmeticError(f"T2 law at n={n}, p1={p1} does not sum to 1")
-    # Python-integer sums over T2: s1 = sum t*c, s2 = sum t*(t*c)
-    t_counts = list(map(operator.mul, values, counts))
-    s1 = sum(t_counts)
-    s2 = sum(map(operator.mul, values, t_counts))
     t2_mean = Fraction(s1, denom)
     t2_variance = Fraction(s2 * denom - s1 * s1, denom * denom)
     return _index_law(index, n, exact, law, t2_mean, t2_variance)

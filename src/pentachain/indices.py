@@ -42,6 +42,11 @@ __all__ = [
 
 
 class IndexKind(Enum):
+    # Members are singletons that compare by identity, so the identity hash
+    # agrees with equality; Enum's own hashes the name in Python, a cost that
+    # every table and cache keyed by an index pays.
+    __hash__ = object.__hash__
+
     WIENER = "wiener"
     GUTMAN = "gutman"
     SCHULTZ = "schultz"

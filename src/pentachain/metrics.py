@@ -143,7 +143,8 @@ def _check_dense_size(V: int) -> None:
     """Refuse, with ValueError, a graph too large for the dense engines."""
     if V > DEFAULT_DENSE_CAP:
         raise ValueError(
-            f"dense resistance engine capped at {DEFAULT_DENSE_CAP} vertices, got {V}"
+            f"the dense BFS and Laplacian engines are capped at "
+            f"{DEFAULT_DENSE_CAP} vertices, got {V}"
         )
 
 

@@ -10,11 +10,13 @@ The two sides rest on different engines.  The verified expectation cubics
 and the variance slope are fitted from the structured matrix engine (pentagon
 tables and cut-edge additivity); the reference cubics are the paper's
 tables.  The exact moments come from the chain recurrence table behind
-base + slope * T2 and one T2-law dynamic program per (n, p1):
-exact_distribution runs it for the first index, and every row maps the
-moments of T2 through its own base + slope * T2 in integers.  Gaps and match
-flags are integer cross-multiplications, and each rational output field is
-built once, as one Fraction.
+base + slope * T2 and one T2-law dynamic program per (n, p1), one round per
+symmetric pair of weights: exact_distribution runs it for the first index,
+and every row maps the moments of T2 through its own base + slope * T2 in
+integers.  Each value's gap to the oracle is taken once; its match flag is
+an integer cross-multiplication, and its gap fields come from the same gap.
+Each rational output field is built once, as one Fraction, and each row in
+one positional call.
 
 A mismatch of the reference expectation is "explained" when the discrepancy
 registry has entries for that index and the verified form does match;
@@ -28,8 +30,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .closedform import Source, _coerce_p1, discrepancies_for, expected_index, variance_index
-from .distribution import _index_moments, exact_distribution
-from .indices import MOMENT_INDICES, IndexKind
+from .distribution import exact_distribution
+from .indices import MOMENT_INDICES, IndexKind, _scaled_affine
 
 # A value matches the oracle when |value - oracle| / max(1, |oracle|) is at
 # most 1 / _REL_TOL_DEN.
@@ -40,34 +42,42 @@ _REL_TOL_DEN = 10**9
 _ORACLE_NMAX = 22
 
 
-def _gap(value, num, den) -> tuple[int, int]:
-    """|value - num/den| as an integer ratio, for den > 0.
+def _gap(value, num, den) -> tuple[int, int, float | None]:
+    """|value - num/den| for den > 0, as (numerator, denominator, float).
 
-    A float value gives the float gap that float - Fraction arithmetic
-    rounds to, taken at its exact binary value.
+    The integer ratio is exact.  A float value gives the float gap that
+    float - Fraction arithmetic rounds to, at its exact binary value, and
+    that float as the third item; an exact value gives None there.
     """
-    if isinstance(value, float):
-        return abs(value - num / den).as_integer_ratio()
-    return abs(value.numerator * den - num * value.denominator), value.denominator * den
+    if type(value) is float:
+        gap = abs(value - num / den)
+        return (*gap.as_integer_ratio(), gap)
+    return abs(value.numerator * den - num * value.denominator), value.denominator * den, None
+
+
+def _within_tolerance(gap_num, gap_den, den, scale) -> bool:
+    """Whether gap / max(1, |oracle|) <= 1 / _REL_TOL_DEN, for an oracle with
+    denominator den and max(1, |oracle|) = scale / den; cross-multiplied."""
+    return gap_num * den * _REL_TOL_DEN <= gap_den * scale
 
 
 def _matches(value, num, den) -> bool:
     """Whether value is within the relative tolerance of the oracle num/den."""
-    gap_num, gap_den = _gap(value, num, den)
-    # gap / max(1, |num/den|) <= 1 / _REL_TOL_DEN, cross-multiplied
-    return gap_num * den * _REL_TOL_DEN <= gap_den * max(den, abs(num))
+    gap_num, gap_den, _ = _gap(value, num, den)
+    return _within_tolerance(gap_num, gap_den, den, max(den, abs(num)))
 
 
-def _gaps(value, num, den):
-    """(gap_abs, gap_rel) of value against the oracle num/den, with
-    gap_rel = gap_abs / max(1, |oracle|): Fractions for an exact value, and
-    for a float value the floats that float - Fraction arithmetic gives."""
+def _gaps(value, num, den) -> tuple[bool, Fraction | float, Fraction | float]:
+    """(match flag, gap_abs, gap_rel) of value against the oracle num/den,
+    all from one gap, with gap_rel = gap_abs / max(1, |oracle|): Fractions
+    for an exact value, and for a float value the floats that float -
+    Fraction arithmetic gives."""
+    gap_num, gap_den, gap = _gap(value, num, den)
     scale = max(den, abs(num))  # max(1, |oracle|) = scale / den
-    if isinstance(value, float):
-        gap = abs(value - num / den)
-        return gap, gap if scale == den else gap / (scale / den)
-    gap_num, gap_den = _gap(value, num, den)
-    return Fraction(gap_num, gap_den), Fraction(gap_num * den, gap_den * scale)
+    match = _within_tolerance(gap_num, gap_den, den, scale)
+    if gap is None:
+        return match, Fraction(gap_num, gap_den), Fraction(gap_num * den, gap_den * scale)
+    return match, gap, gap if scale == den else gap / (scale / den)
 
 
 @dataclass(frozen=True)
@@ -121,48 +131,53 @@ def moment_report(n, p1) -> MomentReport:
     the structured matrix engine, reference cubics from the paper.  The
     oracle columns fill only for n <= _ORACLE_NMAX (22), from one
     exact_distribution call: every index maps the moments of T2 through its
-    own base + slope * T2 in integers.  For longer chains the closed forms
-    are reported alone and every flag stays None.
+    own base + slope * T2 in integers, and each value's gap to the oracle is
+    taken once, for its match flag and its gap fields alike.  For longer
+    chains the closed forms are reported alone and every flag stays None.
     """
     p, _ = _coerce_p1(p1)
     run_oracle = n <= _ORACLE_NMAX
     if run_oracle:
-        # one T2-law dynamic program per (n, p1); every index maps its moments
+        # one T2-law dynamic program per (n, p1); every index maps its
+        # moments: the index is (base + slope * T2) / scale, so its mean is
+        # (base * d + slope * m) / (scale * d) for t2_mean = m/d, and its
+        # variance slope^2 * t2_variance / scale^2 (fractions not reduced)
         law = exact_distribution(MOMENT_INDICES[0], n, p)
-        t2_moments = law.t2_mean, law.t2_variance
+        m, d = law.t2_mean.numerator, law.t2_mean.denominator
+        v, vd = law.t2_variance.numerator, law.t2_variance.denominator
     rows = []
     for kind in MOMENT_INDICES:
         reference = expected_index(kind, n, p, source=Source.REFERENCE)
         verified = expected_index(kind, n, p, source=Source.VERIFIED)
         variance = variance_index(kind, n, p)
-        oracle = {}
-        if run_oracle:
-            mean_num, mean_den, var_num, var_den = _index_moments(kind, n, *t2_moments)
-            e_gap_abs, e_gap_rel = _gaps(reference, mean_num, mean_den)
-            v_gap_abs, v_gap_rel = _gaps(variance, var_num, var_den)
-            oracle = dict(
-                expected_oracle=Fraction(mean_num, mean_den),
-                variance_oracle=Fraction(var_num, var_den),
-                expected_reference_match=_matches(reference, mean_num, mean_den),
-                expected_verified_match=_matches(verified, mean_num, mean_den),
-                variance_match=_matches(variance, var_num, var_den),
-                expected_gap_abs=e_gap_abs,
-                expected_gap_rel=e_gap_rel,
-                variance_gap_abs=v_gap_abs,
-                variance_gap_rel=v_gap_rel,
-            )
+        if not run_oracle:
+            rows.append(MomentRow(kind, n, p1, reference, verified, variance))
+            continue
+        base, slope, scale = _scaled_affine(kind, n)
+        mean_num, mean_den = base * d + slope * m, scale * d
+        var_num, var_den = slope * slope * v, scale * scale * vd
+        e_match, e_gap_abs, e_gap_rel = _gaps(reference, mean_num, mean_den)
+        v_match, v_gap_abs, v_gap_rel = _gaps(variance, var_num, var_den)
         rows.append(
             MomentRow(
-                index=kind,
-                n=n,
-                p1=p1,
-                expected_reference=reference,
-                expected_verified=verified,
-                variance=variance,
-                **oracle,
+                kind,
+                n,
+                p1,
+                reference,
+                verified,
+                variance,
+                Fraction(mean_num, mean_den),
+                Fraction(var_num, var_den),
+                e_match,
+                _matches(verified, mean_num, mean_den),
+                v_match,
+                e_gap_abs,
+                e_gap_rel,
+                v_gap_abs,
+                v_gap_rel,
             )
         )
-    return MomentReport(n=n, p1=p1, rows=tuple(rows))
+    return MomentReport(n, p1, tuple(rows))
 
 
 def verification_table(nmax, p1) -> list[MomentReport]:

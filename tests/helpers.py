@@ -1,6 +1,5 @@
 """Shared exact oracles for the test suite."""
 
-import operator
 from collections import deque
 from fractions import Fraction
 
@@ -153,17 +152,25 @@ def resistance_certificate(graph, res) -> bool:
 
 def python_t2_law(n: int, p1) -> tuple[tuple[int, int], ...]:
     """The law of T2 as (value, numerator over b^(n-2)) pairs, zero masses
-    dropped, by the dynamic program on a plain list of Python integers: no
-    numpy array, no dtype to overflow."""
+    dropped, in plain Python integers: no numpy array, no dtype to overflow.
+
+    The numerators are the coefficients of the product of a + c*x^w over the
+    weights, for p1 = a/b and c = b - a.  The product is taken at x = 2^B as
+    one big integer (Kronecker substitution): every coefficient is at most
+    b^(n-2) < 2^B, so no coefficient carries into the next, and the B-bit
+    digits of the product are the numerators.  A different algorithm from the
+    rounds of the dynamic program it checks.
+    """
     p = Fraction(p1)
     a, b = p.numerator, p.denominator
-    num = [1]
-    for w in t2_weights(n).tolist():
-        # num <- a*num + (b-a)*shift(num, w)
-        kept = [a * c for c in num] + [0] * w
-        moved = [0] * w + [(b - a) * c for c in num]
-        num = list(map(operator.add, kept, moved))
-    return tuple((t, c) for t, c in enumerate(num) if c)
+    digit = ((b ** max(0, n - 2)).bit_length() + 8) // 8  # bytes per coefficient, B = 8 * digit
+    weights = t2_weights(n).tolist()
+    product = 1
+    for w in weights:
+        product = a * product + ((b - a) * product << (8 * digit * w))
+    raw = product.to_bytes(digit * (sum(weights) + 1), "little")
+    coefficients = (int.from_bytes(raw[i : i + digit], "little") for i in range(0, len(raw), digit))
+    return tuple((t, c) for t, c in enumerate(coefficients) if c)
 
 
 _REL_TOL = Fraction(1, 10**9)

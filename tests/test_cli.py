@@ -281,7 +281,7 @@ def test_over_cap_chain_is_refused_before_any_engine(tmp_path, engine_calls, cap
     )
     assert code == 2
     assert out == ""
-    assert err == "error: dense resistance engine capped at 5000 vertices, got 5005\n"
+    assert err == "error: the dense BFS and Laplacian engines are capped at 5000 vertices, got 5005\n"
     assert engine_calls == dict.fromkeys(ENGINE_NAMES, 0)
 
 

@@ -203,6 +203,59 @@ def test_int64_and_object_passes_equal_the_python_integer_law(n, p1, monkeypatch
     assert d.variance == variance_index(IndexKind.KF_STAR, n, p1)
 
 
+def assert_law_is_exact(n, p1):
+    d = exact_distribution(IndexKind.GUTMAN, n, p1)
+    law = python_t2_law(n, p1)
+    assert d.law == law
+    denom = p1.denominator ** max(0, n - 2)
+    assert sum(c for _, c in law) == denom
+    s1 = sum(t * c for t, c in law)
+    s2 = sum(t * t * c for t, c in law)
+    assert d.t2_mean == Fraction(s1, denom)
+    assert d.t2_variance == Fraction(s2 * denom - s1 * s1, denom * denom)
+
+
+@pytest.mark.parametrize(
+    "p1",
+    [Fraction(0), Fraction(1), Fraction(1, 5), Fraction(1, 2), Fraction(4, 5),
+     Fraction(1, 3), Fraction(3, 10), Fraction(2, 7)],
+    ids=str,
+)
+def test_grouped_rounds_equal_the_python_integer_law(p1):
+    # both parities of n - 2 (a middle single round or none), a or c equal
+    # to 1 or 0, and every dtype and moment-sum switch below n = 40
+    for n in range(1, 41):
+        assert_law_is_exact(n, p1)
+
+
+@pytest.mark.parametrize("n, p1", [(69, Fraction(3, 10)), (70, Fraction(2, 7))], ids=str)
+def test_grouped_rounds_stay_exact_on_python_integers(n, p1):
+    assert_law_is_exact(n, p1)
+
+
+@pytest.mark.parametrize(
+    "n, p1",
+    [
+        # b^(n-2) * C(n,3)^2 straddles 2^63 between each pair
+        (38, Fraction(1, 2)),
+        (39, Fraction(1, 2)),
+        (20, Fraction(1, 5)),
+        (21, Fraction(1, 5)),
+        (20, Fraction(4, 5)),
+        (21, Fraction(4, 5)),
+    ],
+    ids=str,
+)
+def test_moments_are_exact_on_both_sides_of_the_int64_sum_bound(n, p1):
+    below = n in (38, 20)
+    assert (p1.denominator ** (n - 2) * math.comb(n, 3) ** 2 < 2**63) is below
+    assert_law_is_exact(n, p1)
+    d = exact_distribution(IndexKind.GUTMAN, n, p1)
+    q = 1 - p1
+    assert d.t2_mean == q * math.comb(n, 3)
+    assert d.t2_variance == p1 * q * sum(w * w for w in t2_weights(n).tolist())
+
+
 def test_sampling_refuses_int64_overflow():
     n = 3_810_780  # smallest n with C(n, 3) >= 2^63
     assert math.comb(n, 3) >= 2**63 > math.comb(n - 1, 3)
@@ -347,6 +400,9 @@ def test_sample_values_consistent_with_stats():
 
 def test_ks_statistic_hand_values():
     assert ks_statistic([0.0]) == 0.5
+    # one point far right of 0: the sample CDF is 0 just below it while Phi
+    # is near 1 there, so the lower side cdf - (i - 1)/m decides
+    assert math.isclose(ks_statistic([3.0]), NormalDist().cdf(3.0), rel_tol=1e-12)
     # quantile grid z_i = Phi^{-1}((i - 1/2) / m) realizes the minimum 1/(2m)
     m = 1000
     grid = [NormalDist().inv_cdf((i - 0.5) / m) for i in range(1, m + 1)]

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import pentachain.metrics as metrics
 from pentachain import (
     AttachmentMode,
     ChainBlueprint,
@@ -76,6 +77,12 @@ def test_dense_engine_cap():
     g = build_graph(all_mode_blueprint(1001, M1))
     with pytest.raises(ValueError, match="capped at 5000 vertices, got 5005"):
         laplacian_resistance(g)
+
+
+def test_dense_cap_boundary():
+    metrics._check_dense_size(5000)  # at the cap: accepted
+    with pytest.raises(ValueError, match="capped at 5000 vertices, got 5001"):
+        metrics._check_dense_size(5001)
 
 
 def test_two_pentagon_hand_values():

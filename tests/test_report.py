@@ -139,6 +139,48 @@ def test_integer_report_equals_the_fraction_report_at_random_rationals(n, b, dat
     assert_same_report(moment_report(n, p1), fraction_moment_report(n, p1))
 
 
+@pytest.mark.parametrize(
+    "rel, match", [(Fraction(1, 2 * 10**9), True), (Fraction(2, 10**9), False)], ids=str
+)
+@pytest.mark.parametrize(
+    "n, p1",
+    [
+        # n = 2 is deterministic: every variance oracle is 0, so |oracle| < 1
+        # and the tolerance is absolute; the expectations lie above 1
+        (2, Fraction(1, 2)),
+        (6, Fraction(1, 5)),
+        (2, 0.5),
+        (6, 0.2),
+    ],
+    ids=repr,
+)
+def test_match_flags_at_the_tolerance_boundary(n, p1, rel, match, monkeypatch):
+    # every closed form is moved off the oracle by rel * max(1, |oracle|):
+    # half the 1e-9 tolerance matches, twice it does not
+    exact = isinstance(p1, Fraction)
+    true_mean, true_variance = report.expected_index, report.variance_index
+
+    def moved(value):
+        shift = rel * max(1, abs(Fraction(value)))
+        return value + shift if exact else value + float(shift)
+
+    monkeypatch.setattr(
+        report, "expected_index", lambda kind, n, p, source: moved(true_mean(kind, n, p))
+    )
+    monkeypatch.setattr(report, "variance_index", lambda kind, n, p: moved(true_variance(kind, n, p)))
+    for row in moment_report(n, p1).rows:
+        assert row.variance_oracle == 0 if n == 2 else row.variance_oracle > 1
+        assert row.expected_oracle > 1
+        assert (row.expected_reference_match, row.expected_verified_match, row.variance_match) == (
+            match,
+            match,
+            match,
+        )
+        for rel_gap in (row.expected_gap_rel, row.variance_gap_rel):
+            assert type(rel_gap) is (Fraction if exact else float)
+            assert rel_gap == rel if exact else math.isclose(rel_gap, rel, rel_tol=1e-6)
+
+
 def _shifted_rec(kind, **shifts):
     names = ("x1", "carry1", "slope1", "icept1", "slope2", "icept2", "acc_slope", "acc_icept", "scale")
     row = dict(zip(names, indices_mod._REC[kind]))
