@@ -6,8 +6,9 @@ pentagon on.  The package builds and enumerates such chains, computes six
 distance- and resistance-based topological indices through independent
 engines (breadth-first distances, Laplacian resistances, a structured
 cut-edge engine, and an O(n) affine-in-T2 engine), evaluates closed-form
-expectation and variance formulas, and checks them against exact enumeration
-and seeded Monte Carlo, including an empirical normality test of the
+expectation and variance formulas, and checks them against the exact law of
+T2 (a dynamic program over the mode-2 weight sum that every index is affine
+in) and seeded Monte Carlo, including an empirical normality test of the
 standardized indices.
 """
 

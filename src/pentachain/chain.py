@@ -95,35 +95,52 @@ class ChainBlueprint:
 
 @dataclass(frozen=True)
 class ProbabilityParams:
-    """Mode1 probability p1, kept exact when given as a rational.
+    """Mode1 probability p1, stored as the value coerce checked: exact for
+    rational input (an int stays an int, a Decimal becomes a Fraction), a
+    float for a float or a decimal text."""
 
-    parse("1/2") and parse of any Fraction keep exact rational arithmetic
-    through enumeration; decimal strings and floats stay floats.
-    """
-
-    p1: Fraction | float
+    p1: Fraction | int | float
 
     def __post_init__(self) -> None:
-        if not 0 <= self.p1 <= 1:
-            raise ValueError(f"p1 must lie in [0, 1], got {self.p1}")
+        object.__setattr__(self, "p1", self.coerce(self.p1)[0])
+
+    @staticmethod
+    def coerce(p1) -> tuple[Fraction | int | float, bool]:
+        """The package's one p1 check: (value, exact) for a p1 in [0, 1].
+
+        A Fraction or int is returned as it is, range-checked on its integer
+        numerator and denominator, so a value checked once passes again at
+        almost no cost; a ProbabilityParams gives its stored value.  A float
+        (numpy floats included) or a text without a slash gives a float; a
+        text with a slash and any other number go through Fraction() and
+        stay exact.  Raises ValueError for a value outside [0, 1], NaN, text
+        that is not a number, or a zero denominator.
+        """
+        if type(p1) is Fraction or type(p1) is int:  # the common case, tested first
+            if 0 <= p1.numerator <= p1.denominator:
+                return p1, True
+            raise ValueError(f"p1 must lie in [0, 1], got {p1}")
+        if isinstance(p1, ProbabilityParams):
+            return p1.p1, p1.is_exact
+        if isinstance(p1, float) or (isinstance(p1, str) and "/" not in p1):
+            value, exact = float(p1), False
+        else:
+            try:
+                value, exact = Fraction(p1), True
+            except ZeroDivisionError:
+                raise ValueError(f"p1 has a zero denominator: {p1!r}") from None
+        if not 0 <= value <= 1:
+            raise ValueError(f"p1 must lie in [0, 1], got {value}")
+        return value, exact
 
     @classmethod
     def parse(cls, text: str) -> "ProbabilityParams":
-        text = text.strip()
-        if "/" in text:
-            try:
-                return cls(Fraction(text))
-            except ZeroDivisionError:
-                raise ValueError(f"p1 has a zero denominator: {text!r}") from None
-        return cls(float(text))
+        """p1 from command-line text: "1/2" stays exact, "0.5" is a float."""
+        return cls(text.strip())
 
     @property
     def is_exact(self) -> bool:
-        return isinstance(self.p1, Fraction)
-
-    def as_fraction(self) -> Fraction:
-        """Exact value; floats convert via their binary expansion (exact)."""
-        return self.p1 if isinstance(self.p1, Fraction) else Fraction(self.p1)
+        return not isinstance(self.p1, float)
 
     def as_float(self) -> float:
         return float(self.p1)
@@ -248,27 +265,24 @@ def sample_blueprint(
 
 def enumerate_blueprints(
     n: int, p: ProbabilityParams
-) -> Iterator[tuple[ChainBlueprint, Fraction | float]]:
+) -> Iterator[tuple[ChainBlueprint, Fraction | int | float]]:
     """Yield all 2^max(0, n-2) blueprints with their probabilities.
 
-    Probabilities are p1^(#Mode1) * (1-p1)^(#Mode2): exact Fractions when p
+    p is a ProbabilityParams or any p1 that ProbabilityParams.coerce takes.
+    Probabilities are p1^(#Mode1) * (1-p1)^(#Mode2): exact rationals when p
     is exact, floats otherwise; they sum to 1 exactly in rational mode.  The
     generator is lazy and has no length limit: the caller bounds the sweep
     by how much of it it takes.
 
     Raises
     ------
-    ValueError if n < 1.
+    ValueError if n < 1 or p1 fails ProbabilityParams.coerce.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     steps = max(0, n - 2)
-    if p.is_exact:
-        p1: Fraction | float = p.p1
-        q1: Fraction | float = 1 - p.p1
-    else:
-        p1 = p.as_float()
-        q1 = 1.0 - p1
+    p1, _ = ProbabilityParams.coerce(p)
+    q1 = 1 - p1
     for modes in itertools.product(
         (AttachmentMode.MODE1, AttachmentMode.MODE2), repeat=steps
     ):

@@ -223,29 +223,6 @@ def _require_moment_index(index: IndexKind) -> None:
         raise ValueError(f"no closed-form moments for {index.value}")
 
 
-def _coerce_p1(p1):
-    """Return (value, exact) with value a Fraction, int or float in [0, 1].
-
-    A Fraction or int is returned as it is, range-checked on its integer
-    numerator and denominator, so a caller that coerced p1 once can pass
-    the value on at almost no cost; any other input but a float goes
-    through Fraction().
-    """
-    if type(p1) is Fraction or type(p1) is int:  # the common case, tested first
-        if 0 <= p1.numerator <= p1.denominator:
-            return p1, True
-        raise ValueError(f"p1 must lie in [0, 1], got {p1!r}")
-    if isinstance(p1, ProbabilityParams):
-        return _coerce_p1(p1.p1)
-    if isinstance(p1, float):
-        value, exact = p1, False
-    else:
-        value, exact = Fraction(p1), True
-    if not 0 <= value <= 1:
-        raise ValueError(f"p1 must lie in [0, 1], got {p1!r}")
-    return value, exact
-
-
 @cache
 def _poly_forms(source, kind):
     """One {power: (c0, c1)} table in both evaluation forms, built once.
@@ -296,18 +273,22 @@ def expected_index(index, n, p1, source=Source.VERIFIED):
         One of gutman, schultz, kf_star, kf_plus.
     n : int
         Number of pentagons, n >= 1.
-    p1 : Fraction, int, float or ProbabilityParams
-        Mode-1 attachment probability.  Rational input gives an exact
-        Fraction result, float input a float.
+    p1 : Fraction, int, float, Decimal, str or ProbabilityParams
+        Mode-1 attachment probability, read by ProbabilityParams.coerce.
+        Exact input ("1/3" included) gives an exact Fraction result; a float
+        or a decimal text like "0.3" gives a float.
     source : Source
         VERIFIED (default) evaluates the cubic fitted from chain values,
         REFERENCE the verbatim reference table.
+
+    Raises ValueError for an index without closed forms, n < 1, or a p1
+    that ProbabilityParams.coerce refuses.
     """
     _require_moment_index(index)
     n = operator.index(n)
     if n < 1:
         raise ValueError("n must be >= 1")
-    value, exact = _coerce_p1(p1)
+    value, exact = ProbabilityParams.coerce(p1)
     return _eval_poly(source, index, n, value, exact)
 
 
@@ -318,7 +299,7 @@ def sequence_values(kind, n, p1, source=Source.VERIFIED):
     n = operator.index(n)
     if n < 1:
         raise ValueError("n must be >= 1")
-    value, exact = _coerce_p1(p1)
+    value, exact = ProbabilityParams.coerce(p1)
     return _eval_poly(source, kind, n, value, exact)
 
 
@@ -338,7 +319,7 @@ def _exact_step_variance(index, p1) -> tuple[int, int, bool]:
     """p1(1-p1) * slope**2 at the exact value of p1 = a/b, as integers
     (numerator, denominator), and whether p1 was exact."""
     _require_moment_index(index)
-    value, exact = _coerce_p1(p1)
+    value, exact = ProbabilityParams.coerce(p1)
     a, b = (value.numerator, value.denominator) if exact else value.as_integer_ratio()
     s_num, s_den = _squared_slope(index)
     return a * (b - a) * s_num, b * b * s_den, exact

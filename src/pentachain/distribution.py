@@ -32,8 +32,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .closedform import _coerce_p1, expected_index, variance_index
-from .indices import IndexKind, _scaled_affine, affine_in_t2, t2_weights
+from .chain import ProbabilityParams
+from .closedform import expected_index, variance_index
+from .indices import IndexKind, affine_in_t2, index_moments, t2_weights
 
 _STREAMS = 64
 _CHUNK = 4096
@@ -79,26 +80,8 @@ class ExactDistribution:
         return _index_law(index, self.n, self.p1, self.law, self.t2_mean, self.t2_variance)
 
 
-def _index_moments(index, n, t2_mean, t2_variance) -> tuple[int, int, int, int]:
-    """(mean numerator, mean denominator, variance numerator, variance
-    denominator) of one index, in integers, from the moments of T2.
-
-    The index is (base + slope * T2) / scale, so its mean is
-    (base * d + slope * m) / (scale * d) for t2_mean = m/d, and its variance
-    slope^2 * t2_variance / scale^2.  The fractions are not reduced.
-    """
-    base, slope, scale = _scaled_affine(index, n)
-    m, d = t2_mean.numerator, t2_mean.denominator
-    return (
-        base * d + slope * m,
-        scale * d,
-        slope * slope * t2_variance.numerator,
-        scale * scale * t2_variance.denominator,
-    )
-
-
 def _index_law(index, n, p1, law, t2_mean, t2_variance) -> ExactDistribution:
-    mean_num, mean_den, var_num, var_den = _index_moments(index, n, t2_mean, t2_variance)
+    mean_num, mean_den, var_num, var_den = index_moments(index, n, t2_mean, t2_variance)
     return ExactDistribution(
         index,
         n,
@@ -124,9 +107,9 @@ def exact_distribution(index: IndexKind, n: int, p1) -> ExactDistribution:
     n - 2 is odd.  Multiplications by 1 are skipped.  The moments come from
     integer sums over T2.  That law is the same for every index: call
     for_index on the result for the other indices at this (n, p1) rather
-    than running the pass again.  p1 is used exactly: float input is
-    converted through Fraction(float), so probabilities always sum to
-    exactly 1.
+    than running the pass again.  p1 is read by ProbabilityParams.coerce and
+    then used exactly: a float, or a decimal text like "0.3", is converted
+    through Fraction(float), so probabilities always sum to exactly 1.
 
     Every partial numerator is at most b^(n-2), so the pass runs on int64
     when b^(n-2) < 2^63 (p1 = 1/2 up to n = 64, p1 = 1/3 up to n = 41) and
@@ -140,9 +123,10 @@ def exact_distribution(index: IndexKind, n: int, p1) -> ExactDistribution:
     1.2 ms at n = 40, 8 ms at n = 64 and 49 ms at n = 70 for p1 = 1/2
     (Python integers from n = 65); and 0.7 s at n = 70 for p1 = 0.3
     (denominator 2^54).  The host's speed drifts by up to 2x between spells.
-    Raises ValueError for n < 1 or p1 outside [0, 1].
+    Raises ValueError for n < 1 or a p1 that ProbabilityParams.coerce
+    refuses.
     """
-    value = _coerce_p1(p1)[0]
+    value = ProbabilityParams.coerce(p1)[0]
     exact = value if type(value) is Fraction else Fraction(value)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -225,7 +209,7 @@ def _check_sampling(n: int, p1, sample_count: int) -> float:
         raise ValueError(f"n must be >= 1, got {n}")
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
-    p1f = float(_coerce_p1(p1)[0])
+    p1f = float(ProbabilityParams.coerce(p1)[0])
     if math.comb(n, 3) >= 2**63:
         raise ValueError(f"n={n} is too long to sample: T2 up to C(n,3) overflows int64")
     return p1f
@@ -416,7 +400,7 @@ def normality_test(
     nothing to standardize.  So are sample standardizations of draws that
     are all equal.
     """
-    p1f = float(_coerce_p1(p1)[0])
+    p1f = float(ProbabilityParams.coerce(p1)[0])
     if n <= 2 or not 0.0 < p1f < 1.0:
         raise ValueError("normality needs n >= 3 and p1 strictly inside (0, 1)")
     values = sample_values(index, n, p1, sample_count, seed)

@@ -164,6 +164,24 @@ def _scaled_affine(kind: IndexKind, n: int) -> tuple[int, int, int]:
     return x1 + sum_carry + acc_a * sum_k + acc_b * m, a2 - a1, scale
 
 
+def index_moments(kind, n, t2_mean, t2_variance) -> tuple[int, int, int, int]:
+    """(mean numerator, mean denominator, variance numerator, variance
+    denominator) of one index, in integers, from the moments of T2.
+
+    The index is (base + slope * T2) / scale, so its mean is
+    (base * d + slope * m) / (scale * d) for t2_mean = m/d, and its variance
+    slope^2 * t2_variance / scale^2.  The fractions are not reduced.
+    """
+    base, slope, scale = _scaled_affine(kind, n)
+    m, d = t2_mean.numerator, t2_mean.denominator
+    return (
+        base * d + slope * m,
+        scale * d,
+        slope * slope * t2_variance.numerator,
+        scale * scale * t2_variance.denominator,
+    )
+
+
 def t2_weights(n: int) -> np.ndarray:
     """Weights (n-k)(k-1) for k = 2..n-1: one per stochastic choice."""
     k = np.arange(2, n, dtype=np.int64)

@@ -29,9 +29,10 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .closedform import Source, _coerce_p1, discrepancies_for, expected_index, variance_index
+from .chain import ProbabilityParams
+from .closedform import Source, discrepancies_for, expected_index, variance_index
 from .distribution import exact_distribution
-from .indices import MOMENT_INDICES, IndexKind, _scaled_affine
+from .indices import MOMENT_INDICES, IndexKind, index_moments
 
 # A value matches the oracle when |value - oracle| / max(1, |oracle|) is at
 # most 1 / _REL_TOL_DEN.
@@ -125,44 +126,40 @@ class MomentReport:
 def moment_report(n, p1) -> MomentReport:
     """Evaluate closed forms at (n, p1) and compare with the exact law.
 
-    One row per index of MOMENT_INDICES.  p1 is coerced once and passed on
-    as a Fraction (rational input) or a float.  The closed forms come from
-    the cached integer tables: verified cubics and variance slope fitted from
-    the structured matrix engine, reference cubics from the paper.  The
-    oracle columns fill only for n <= _ORACLE_NMAX (22), from one
+    One row per index of MOMENT_INDICES.  p1 is checked once by
+    ProbabilityParams.coerce, and the report and its rows carry the checked
+    value: a Fraction or int for exact input, a float otherwise.  The closed
+    forms come from the cached integer tables: verified cubics and variance
+    slope fitted from the structured matrix engine, reference cubics from the
+    paper.  The oracle columns fill only for n <= _ORACLE_NMAX (22), from one
     exact_distribution call: every index maps the moments of T2 through its
-    own base + slope * T2 in integers, and each value's gap to the oracle is
-    taken once, for its match flag and its gap fields alike.  For longer
-    chains the closed forms are reported alone and every flag stays None.
+    own base + slope * T2 in integers (indices.index_moments), and each
+    value's gap to the oracle is taken once, for its match flag and its gap
+    fields alike.  For longer chains the closed forms are reported alone and
+    every flag stays None.
     """
-    p, _ = _coerce_p1(p1)
+    p, _ = ProbabilityParams.coerce(p1)
     run_oracle = n <= _ORACLE_NMAX
-    if run_oracle:
-        # one T2-law dynamic program per (n, p1); every index maps its
-        # moments: the index is (base + slope * T2) / scale, so its mean is
-        # (base * d + slope * m) / (scale * d) for t2_mean = m/d, and its
-        # variance slope^2 * t2_variance / scale^2 (fractions not reduced)
+    if run_oracle:  # one T2-law dynamic program per (n, p1)
         law = exact_distribution(MOMENT_INDICES[0], n, p)
-        m, d = law.t2_mean.numerator, law.t2_mean.denominator
-        v, vd = law.t2_variance.numerator, law.t2_variance.denominator
     rows = []
     for kind in MOMENT_INDICES:
         reference = expected_index(kind, n, p, source=Source.REFERENCE)
         verified = expected_index(kind, n, p, source=Source.VERIFIED)
         variance = variance_index(kind, n, p)
         if not run_oracle:
-            rows.append(MomentRow(kind, n, p1, reference, verified, variance))
+            rows.append(MomentRow(kind, n, p, reference, verified, variance))
             continue
-        base, slope, scale = _scaled_affine(kind, n)
-        mean_num, mean_den = base * d + slope * m, scale * d
-        var_num, var_den = slope * slope * v, scale * scale * vd
+        mean_num, mean_den, var_num, var_den = index_moments(
+            kind, n, law.t2_mean, law.t2_variance
+        )
         e_match, e_gap_abs, e_gap_rel = _gaps(reference, mean_num, mean_den)
         v_match, v_gap_abs, v_gap_rel = _gaps(variance, var_num, var_den)
         rows.append(
             MomentRow(
                 kind,
                 n,
-                p1,
+                p,
                 reference,
                 verified,
                 variance,
@@ -177,7 +174,7 @@ def moment_report(n, p1) -> MomentReport:
                 v_gap_rel,
             )
         )
-    return MomentReport(n, p1, tuple(rows))
+    return MomentReport(n, p, tuple(rows))
 
 
 def verification_table(nmax, p1) -> list[MomentReport]:

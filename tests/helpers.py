@@ -233,3 +233,21 @@ def fraction_moment_report(n, p1, indices=MOMENT_INDICES) -> MomentReport:
             )
         )
     return MomentReport(n=n, p1=p1, rows=tuple(rows))
+
+
+def count_calls(monkeypatch, module, names) -> dict[str, int]:
+    """Route each of names on module through a counter; return the counts.
+
+    The benchmark's traced pass wraps the same module attributes, so a call
+    that stops going through one of them shows here as a wrong count.
+    """
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(module, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls

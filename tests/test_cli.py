@@ -437,6 +437,10 @@ def test_report_normality_validation(capsys):
     assert run(["report", "--normality", "--n", "2"], capsys)[0] == 2
     assert run(["report", "--normality", "--n", "10", "--p1", "0"], capsys)[0] == 2
     assert run(["report", "--normality", "--n", "10", "--samples", "0"], capsys)[0] == 2
+    # the sampler owns the --samples refusal, for normality and Monte Carlo alike
+    normality = run(["report", "--normality", "--n", "10", "--samples", "0"], capsys)
+    with_mc = run(["report", "--nmax", "3", "--with-mc", "--samples", "0"], capsys)
+    assert normality == with_mc == (2, "", "error: sample_count must be >= 1\n")
     argv = ["report", "--normality", "--n", "5", "--samples", "1", "--standardization", "sample"]
     code, out, err = run(argv, capsys)
     assert code == 2 and out == "" and err.startswith("error: ")

@@ -1,7 +1,7 @@
 """Closed-form moments against the enumeration oracle, both sources."""
 
 import math
-import re
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -22,18 +22,21 @@ from pentachain import (
     build_graph,
     discrepancies_for,
     enumerate_blueprints,
+    exact_distribution,
     expected_index,
     fitted_expectation_coefficients,
     incremental_indices,
     interpolate_polynomial,
     moment_params,
+    moment_report,
+    monte_carlo,
     sequence_values,
     structured_metrics,
     t2_weights,
     variance_index,
     vertex_id,
 )
-from pentachain.closedform import _EXPECTATION_REFERENCE, _SEQUENCE, _coerce_p1
+from pentachain.closedform import _EXPECTATION_REFERENCE, _SEQUENCE
 
 from helpers import enumeration_moments
 
@@ -386,14 +389,70 @@ def test_moment_index_validation():
         moment_params(IndexKind.GUTMAN, -0.2)
 
 
-def test_p1_coercion_passes_exact_input_through():
+# (p1, checked value, exact) for accepted input, (p1, error message, None)
+# for refused input
+P1_TABLE = [
+    (Fraction(2, 7), Fraction(2, 7), True),
+    (ProbabilityParams(Fraction(2, 7)), Fraction(2, 7), True),
+    (1, 1, True),
+    (True, Fraction(1), True),
+    (0.3, 0.3, False),
+    (np.float64(0.3), 0.3, False),
+    (Decimal("0.5"), Fraction(1, 2), True),
+    ("1/3", Fraction(1, 3), True),
+    ("0.3", 0.3, False),
+    ("1/0", "p1 has a zero denominator: '1/0'", None),
+    ("4/3", "p1 must lie in [0, 1], got 4/3", None),
+    (1.5, "p1 must lie in [0, 1], got 1.5", None),
+    (math.nan, "p1 must lie in [0, 1], got nan", None),
+    (Fraction(8, 7), "p1 must lie in [0, 1], got 8/7", None),
+    (Fraction(-1, 7), "p1 must lie in [0, 1], got -1/7", None),
+    (2, "p1 must lie in [0, 1], got 2", None),
+    (-1, "p1 must lie in [0, 1], got -1", None),
+]
+
+P1_ENTRY_POINTS = {
+    "ProbabilityParams": ProbabilityParams,
+    "expected_index": lambda p1: expected_index(IndexKind.GUTMAN, 5, p1),
+    "variance_index": lambda p1: variance_index(IndexKind.GUTMAN, 5, p1),
+    "exact_distribution": lambda p1: exact_distribution(IndexKind.GUTMAN, 5, p1),
+    "monte_carlo": lambda p1: monte_carlo(IndexKind.GUTMAN, 5, p1, 10, 0),
+    "moment_report": lambda p1: moment_report(5, p1),
+    "enumerate_blueprints": lambda p1: list(enumerate_blueprints(5, p1)),
+}
+
+
+def test_every_p1_entry_point_reads_p1_alike():
+    for p1, want, exact in P1_TABLE:
+        if exact is None:
+            for name, entry in P1_ENTRY_POINTS.items():
+                with pytest.raises(ValueError) as info:
+                    entry(p1)
+                assert str(info.value) == want, f"{name}({p1!r})"
+            continue
+        value, got_exact = ProbabilityParams.coerce(p1)
+        assert value == want and type(value) is type(want) and got_exact is exact, repr(p1)
+        params = ProbabilityParams(p1)
+        assert params.p1 == want and type(params.p1) is type(want), repr(p1)
+        assert params.is_exact is exact, repr(p1)
+        closed_forms = [
+            expected_index(IndexKind.GUTMAN, 5, p1),
+            variance_index(IndexKind.GUTMAN, 5, p1),
+            *(getattr(row, f) for row in moment_report(5, p1).rows
+              for f in ("expected_reference", "expected_verified", "variance")),
+        ]
+        assert all(isinstance(x, float) is not exact for x in closed_forms), repr(p1)
+        assert moment_report(5, p1) == moment_report(5, want), repr(p1)
+        # the exact law reads every p1 exactly, a float at its binary value
+        assert exact_distribution(IndexKind.GUTMAN, 5, p1).p1 == Fraction(want), repr(p1)
+        assert monte_carlo(IndexKind.GUTMAN, 5, p1, 10, 0) == monte_carlo(
+            IndexKind.GUTMAN, 5, want, 10, 0
+        ), repr(p1)
+        probs = [prob for _, prob in enumerate_blueprints(5, p1)]
+        assert all(isinstance(prob, float) is not exact for prob in probs), repr(p1)
+        assert not exact or sum(probs) == 1, repr(p1)
+    # a value checked once passes again as the same object
     p = Fraction(2, 7)
     for given_p1 in (p, ProbabilityParams(p)):
-        value, exact = _coerce_p1(given_p1)
+        value, exact = ProbabilityParams.coerce(given_p1)
         assert value is p and exact
-    assert _coerce_p1(1) == (1, True) and type(_coerce_p1(1)[0]) is int
-    assert _coerce_p1("1/3") == (Fraction(1, 3), True)
-    assert _coerce_p1(np.float64(0.3)) == (0.3, False)
-    for bad in (Fraction(8, 7), Fraction(-1, 7), 2, -1, 1.5, math.nan, "4/3"):
-        with pytest.raises(ValueError, match=re.escape(f"p1 must lie in [0, 1], got {bad!r}")):
-            _coerce_p1(bad)

@@ -31,7 +31,7 @@ from pentachain import (
     variance_index,
 )
 
-from helpers import enumeration_laws, enumeration_moments, python_t2_law
+from helpers import count_calls, enumeration_laws, enumeration_moments, python_t2_law
 
 
 def test_two_atom_law():
@@ -421,6 +421,13 @@ def test_normality_refusals():
     for count in (1, 2):
         with pytest.raises(ValueError, match="two distinct draws"):
             normality_test(IndexKind.GUTMAN, 3, 0.5, count, 0, Standardization.SAMPLE)
+
+
+def test_normality_goes_through_the_names_the_benchmark_traces(monkeypatch):
+    # perfbench's mc_normality times these two names on distribution
+    calls = count_calls(monkeypatch, distribution, ("sample_values", "ks_statistic"))
+    normality_test(IndexKind.GUTMAN, 10, Fraction(1, 5), 200, 0)
+    assert calls == {"sample_values": 1, "ks_statistic": 1}
 
 
 def test_normality_far_from_normal_at_small_n():

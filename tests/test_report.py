@@ -16,7 +16,7 @@ from pentachain import MOMENT_INDICES, IndexKind, ProbabilityParams, t2_weights
 from pentachain.cli import main
 from pentachain.report import MomentReport, MomentRow, moment_report, unexplained_failures
 
-from helpers import enumeration_moments, fraction_moment_report
+from helpers import count_calls, enumeration_moments, fraction_moment_report
 
 ORACLE_COLUMNS = (
     "expected_oracle",
@@ -108,6 +108,15 @@ def test_one_report_runs_the_t2_law_once(monkeypatch):
     assert dp_runs == [12]
     assert oracle_calls == [(IndexKind.GUTMAN, 12, Fraction(2, 7))]
     assert all(row.expected_verified_match and row.variance_match for row in rep.rows)
+
+
+def test_report_goes_through_the_names_the_benchmark_traces(monkeypatch):
+    # perfbench's moment_verify times these three names on report
+    calls = count_calls(
+        monkeypatch, report, ("exact_distribution", "expected_index", "variance_index")
+    )
+    moment_report(9, Fraction(1, 5))
+    assert calls == {"exact_distribution": 1, "expected_index": 8, "variance_index": 4}
 
 
 def assert_same_report(got, want):
