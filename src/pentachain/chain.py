@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
+from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from typing import Iterator
@@ -113,8 +114,9 @@ class ProbabilityParams:
         almost no cost; a ProbabilityParams gives its stored value.  A float
         (numpy floats included) or a text without a slash gives a float; a
         text with a slash and any other number go through Fraction() and
-        stay exact.  Raises ValueError for a value outside [0, 1], NaN, text
-        that is not a number, or a zero denominator.
+        stay exact.  Raises ValueError for a value outside [0, 1], NaN or an
+        infinity (Decimal ones included), text that is not a number, or a
+        zero denominator.
         """
         if type(p1) is Fraction or type(p1) is int:  # the common case, tested first
             if 0 <= p1.numerator <= p1.denominator:
@@ -124,6 +126,8 @@ class ProbabilityParams:
             return p1.p1, p1.is_exact
         if isinstance(p1, float) or (isinstance(p1, str) and "/" not in p1):
             value, exact = float(p1), False
+        elif isinstance(p1, Decimal) and not p1.is_finite():
+            raise ValueError(f"p1 must lie in [0, 1], got {p1}")
         else:
             try:
                 value, exact = Fraction(p1), True
@@ -247,16 +251,18 @@ def sample_blueprint(
 ) -> ChainBlueprint:
     """Draw one blueprint: each choice independently Mode1 with prob p1.
 
-    Identical generator state yields identical blueprints.  The rng is
-    advanced by exactly max(0, n - 2) uniform draws.
+    p is a ProbabilityParams or any p1 that ProbabilityParams.coerce takes;
+    the draws compare against p1 as a float.  Identical generator state
+    yields identical blueprints.  The rng is advanced by exactly
+    max(0, n - 2) uniform draws.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    p1 = float(ProbabilityParams.coerce(p)[0])
     steps = max(0, n - 2)
     if steps == 0:
         return ChainBlueprint(n=n)
     u = rng.random(steps)
-    p1 = p.as_float()
     choices = tuple(
         AttachmentMode.MODE1 if x < p1 else AttachmentMode.MODE2 for x in u
     )

@@ -4,7 +4,10 @@ The exact side gives the full law of an index over all 2^(n-2) chains of a
 given length with rational probabilities, the oracle moments for the closed
 forms.  Every index is base + slope * T2, so one dynamic program over the
 exact law of T2 replaces a sweep over the chains themselves, and one run of
-it serves every index at a given (n, p1).  The sampling
+it serves every index at a given (n, p1).  A run keeps the law as the
+program's arrays and takes the moments of T2 from them at once; the law as
+Python pairs, the index moments and the rational support are built only when
+they are first read.  The sampling
 side draws chains with a splittable counter-based RNG laid out as 64 fixed
 logical streams: stream s is seeded with
 SeedSequence(masterSeed, spawn_key=(s,)) and owns the sample indices
@@ -25,7 +28,7 @@ import json
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -44,27 +47,59 @@ _CHUNK = 4096
 _KS_CRITICAL = {0.01: 1.628, 0.05: 1.358}
 
 
+class _T2Law:
+    """The law of T2 at one (n, p1) as the dynamic program leaves it: the
+    reachable T2 values, ascending, and their integer numerators, one array
+    each.  Every index's ExactDistribution at that (n, p1) holds the same
+    one, so the pairs tuple is built once, on its first read."""
+
+    def __init__(self, values: np.ndarray, counts: np.ndarray):
+        self.values, self.counts = values, counts
+
+    @cached_property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        # a list first: tuple() of an iterator grows its result by realloc, and
+        # CPython then parks each discarded short law in its tuple free lists
+        # (up to 2000 per length below 20) until a full garbage collection
+        return tuple(list(zip(self.values.tolist(), self.counts.tolist())))
+
+
 @dataclass(frozen=True)
 class ExactDistribution:
     """Full law of one index over all chains of n pentagons, exact.
 
-    law is the law of T2 that every index shares at one (n, p1): pairs
-    (T2 value, integer numerator over b^(n-2) for p1 = a/b), ascending in T2
-    and without zero masses.  t2_mean and t2_variance are its moments, so the
-    index moments are base + slope * t2_mean and slope^2 * t2_variance.
-    for_index maps the same law to another index without rerunning the
-    dynamic program; support, the (value, probability) Fraction pairs, is
-    built on first read.
+    t2_mean and t2_variance, the moments of T2, are computed with the law;
+    everything else is built on first read and then kept.  law is the law of
+    T2 that every index shares at one (n, p1): pairs (T2 value, integer
+    numerator over b^(n-2) for p1 = a/b), ascending in T2 and without zero
+    masses, as Python integers.  mean and variance are the index moments
+    base + slope * t2_mean and slope^2 * t2_variance.  support, the
+    (value, probability) Fraction pairs, is built from law.  for_index maps
+    the same law to another index without rerunning the dynamic program;
+    the two share the T2 arrays and the law tuple, whichever builds it.
+    Equality compares index, n, p1 and the T2 moments, which fix the rest.
     """
 
     index: IndexKind
     n: int
     p1: Fraction
-    law: tuple[tuple[int, int], ...]
     t2_mean: Fraction
     t2_variance: Fraction
-    mean: Fraction
-    variance: Fraction
+    _t2: _T2Law = field(repr=False, compare=False)
+
+    @property
+    def law(self) -> tuple[tuple[int, int], ...]:
+        return self._t2.pairs
+
+    @cached_property
+    def mean(self) -> Fraction:
+        num, den, _, _ = index_moments(self.index, self.n, self.t2_mean, self.t2_variance)
+        return Fraction(num, den)
+
+    @cached_property
+    def variance(self) -> Fraction:
+        _, _, num, den = index_moments(self.index, self.n, self.t2_mean, self.t2_variance)
+        return Fraction(num, den)
 
     @cached_property
     def support(self) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -77,21 +112,7 @@ class ExactDistribution:
 
     def for_index(self, index: IndexKind) -> "ExactDistribution":
         """The law of another index at the same (n, p1), from the same T2 law."""
-        return _index_law(index, self.n, self.p1, self.law, self.t2_mean, self.t2_variance)
-
-
-def _index_law(index, n, p1, law, t2_mean, t2_variance) -> ExactDistribution:
-    mean_num, mean_den, var_num, var_den = index_moments(index, n, t2_mean, t2_variance)
-    return ExactDistribution(
-        index,
-        n,
-        p1,
-        law,
-        t2_mean,
-        t2_variance,
-        Fraction(mean_num, mean_den),
-        Fraction(var_num, var_den),
-    )
+        return ExactDistribution(index, self.n, self.p1, self.t2_mean, self.t2_variance, self._t2)
 
 
 def exact_distribution(index: IndexKind, n: int, p1) -> ExactDistribution:
@@ -104,12 +125,15 @@ def exact_distribution(index: IndexKind, n: int, p1) -> ExactDistribution:
     pair, so the dynamic program makes one round per distinct weight: a pair
     round num <- a^2*num + 2ac*shift(num, w) + c^2*shift(num, 2w), and one
     single round num <- a*num + c*shift(num, w) for the middle weight when
-    n - 2 is odd.  Multiplications by 1 are skipped.  The moments come from
-    integer sums over T2.  That law is the same for every index: call
-    for_index on the result for the other indices at this (n, p1) rather
-    than running the pass again.  p1 is read by ProbabilityParams.coerce and
-    then used exactly: a float, or a decimal text like "0.3", is converted
-    through Fraction(float), so probabilities always sum to exactly 1.
+    n - 2 is odd.  Multiplications by 1 are skipped.  The call itself only
+    runs the pass, checks that the law sums to 1 and takes the moments of T2
+    from integer sums over its arrays; the law tuple, the index moments and
+    the support are built from those arrays and moments on first read.  That
+    law is the same for every index: call for_index on the result for the
+    other indices at this (n, p1) rather than running the pass again.  p1 is
+    read by ProbabilityParams.coerce and then used exactly: a float, or a
+    decimal text like "0.3", is converted through Fraction(float), so
+    probabilities always sum to exactly 1.
 
     Every partial numerator is at most b^(n-2), so the pass runs on int64
     when b^(n-2) < 2^63 (p1 = 1/2 up to n = 64, p1 = 1/3 up to n = 41) and
@@ -157,17 +181,13 @@ def exact_distribution(index: IndexKind, n: int, p1) -> ExactDistribution:
         hi += times * w
     support = np.flatnonzero(num)
     counts = num[support]
-    values, count_list = support.tolist(), counts.tolist()
-    # a list first: tuple() of an iterator grows its result by realloc, and
-    # CPython then parks each discarded short law in its tuple free lists
-    # (up to 2000 per length below 20) until a full garbage collection
-    law = tuple(list(zip(values, count_list)))
     # s1 = sum t*c and s2 = sum t*(t*c), on int64 while no term or sum can
     # pass 2^63, on Python integers beyond
     if denom * top * top < 2**63:
         t_counts = support * counts
         total, s1, s2 = int(counts.sum()), int(t_counts.sum()), int(t_counts @ support)
     else:
+        values, count_list = support.tolist(), counts.tolist()
         t_counts = list(map(operator.mul, values, count_list))
         total, s1 = sum(count_list), sum(t_counts)
         s2 = sum(map(operator.mul, values, t_counts))
@@ -175,7 +195,7 @@ def exact_distribution(index: IndexKind, n: int, p1) -> ExactDistribution:
         raise ArithmeticError(f"T2 law at n={n}, p1={p1} does not sum to 1")
     t2_mean = Fraction(s1, denom)
     t2_variance = Fraction(s2 * denom - s1 * s1, denom * denom)
-    return _index_law(index, n, exact, law, t2_mean, t2_variance)
+    return ExactDistribution(index, n, exact, t2_mean, t2_variance, _T2Law(support, counts))
 
 
 @dataclass(frozen=True)

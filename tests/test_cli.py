@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -24,7 +25,9 @@ from pentachain import (
     ChainBlueprint,
     IndexBundle,
     MetricMatrix,
+    ProbabilityParams,
     RunConfig,
+    SampleStats,
     all_mode_blueprint,
     main,
 )
@@ -217,6 +220,31 @@ def test_unwritable_out_exits_2_with_one_line(tmp_path, capsys):
     ],
 )
 def test_report_stdout_is_golden(argv, sha1, capsys):
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert hashlib.sha1(out.encode()).hexdigest() == sha1
+
+
+@pytest.mark.parametrize(
+    "argv, sha1",
+    [
+        (
+            ["report", "--normality", "--n", "100", "--samples", "10000", "--seed", "1"],
+            "84971cac8969add042384e7efaea255c99a5dc95",
+        ),
+        (
+            ["report", "--nmax", "3", "--samples", "2000", "--seed", "6", "--with-mc",
+             "--format", "csv"],
+            "acc9a0b5ccd220c0b9628a15e13fef93dc2a5f0d",
+        ),
+        (
+            ["generate", "--n", "40", "--p1", "0.3", "--seed", "12"],
+            "bb236292a2fb87c5bb5108ecfbe86355b7fa4106",
+        ),
+    ],
+)
+def test_seeded_stdout_is_golden(argv, sha1, capsys):
+    # seeded sampling bytes: the stream layout, the draws and their mapping
     code, out, _ = run(argv, capsys)
     assert code == 0
     assert hashlib.sha1(out.encode()).hexdigest() == sha1
@@ -583,3 +611,23 @@ def test_fuzzed_invocations_keep_the_exit_contract(argv, stdin):
     else:
         assert code == 2 and out.getvalue() == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_mc_rows_are_within_4se_strictly_below_4(monkeypatch):
+    # closed-form mean 0 and variance equal to the sample count give se = 1,
+    # so each row's |z| is its sample mean
+    samples = 100
+    monkeypatch.setattr(cli, "expected_index", lambda kind, n, p1: 0)
+    monkeypatch.setattr(cli, "variance_index", lambda kind, n, p1: samples)
+    config = RunConfig(command="report", samples=samples, with_mc=True)
+    below = math.nextafter(4.0, 0.0)
+    for z, within in ((below, True), (-below, True), (4.0, False), (-4.0, False), (4.5, False)):
+        monkeypatch.setattr(
+            cli,
+            "monte_carlo",
+            lambda kinds, n, p1, count, seed, workers: {
+                kind: SampleStats(kind, count, z, 0.0, z, z, seed) for kind in kinds
+            },
+        )
+        rows = cli._mc_section(config, [5], [ProbabilityParams(Fraction(1, 2))])
+        assert [(row["abs_z"], row["within_4se"]) for row in rows] == [(abs(z), within)] * 4

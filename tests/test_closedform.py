@@ -30,6 +30,7 @@ from pentachain import (
     moment_params,
     moment_report,
     monte_carlo,
+    sample_blueprint,
     sequence_values,
     structured_metrics,
     t2_weights,
@@ -405,6 +406,10 @@ P1_TABLE = [
     ("4/3", "p1 must lie in [0, 1], got 4/3", None),
     (1.5, "p1 must lie in [0, 1], got 1.5", None),
     (math.nan, "p1 must lie in [0, 1], got nan", None),
+    (math.inf, "p1 must lie in [0, 1], got inf", None),
+    (Decimal("Infinity"), "p1 must lie in [0, 1], got Infinity", None),
+    (Decimal("-Infinity"), "p1 must lie in [0, 1], got -Infinity", None),
+    (Decimal("NaN"), "p1 must lie in [0, 1], got NaN", None),
     (Fraction(8, 7), "p1 must lie in [0, 1], got 8/7", None),
     (Fraction(-1, 7), "p1 must lie in [0, 1], got -1/7", None),
     (2, "p1 must lie in [0, 1], got 2", None),
@@ -419,6 +424,7 @@ P1_ENTRY_POINTS = {
     "monte_carlo": lambda p1: monte_carlo(IndexKind.GUTMAN, 5, p1, 10, 0),
     "moment_report": lambda p1: moment_report(5, p1),
     "enumerate_blueprints": lambda p1: list(enumerate_blueprints(5, p1)),
+    "sample_blueprint": lambda p1: sample_blueprint(5, p1, np.random.default_rng(0)),
 }
 
 
@@ -451,6 +457,10 @@ def test_every_p1_entry_point_reads_p1_alike():
         probs = [prob for _, prob in enumerate_blueprints(5, p1)]
         assert all(isinstance(prob, float) is not exact for prob in probs), repr(p1)
         assert not exact or sum(probs) == 1, repr(p1)
+        # from the same generator state, a bare p1 draws the chain its params draw
+        assert sample_blueprint(40, p1, np.random.default_rng(12)) == sample_blueprint(
+            40, ProbabilityParams(p1), np.random.default_rng(12)
+        ), repr(p1)
     # a value checked once passes again as the same object
     p = Fraction(2, 7)
     for given_p1 in (p, ProbabilityParams(p)):

@@ -111,6 +111,26 @@ def test_mapped_laws_equal_per_index_laws():
                 assert (mapped.mean, mapped.variance) == (own.mean, own.variance)
 
 
+def test_law_and_index_moments_are_built_on_first_read(monkeypatch):
+    # the call takes the T2 moments and stops; at n = 40, p1 = 1/2 the sums
+    # run on Python integers, at n = 16, p1 = 1/5 on int64
+    calls = count_calls(monkeypatch, distribution, ("index_moments",))
+    for n, p1 in ((16, Fraction(1, 5)), (40, Fraction(1, 2))):
+        calls["index_moments"] = 0
+        d = exact_distribution(IndexKind.GUTMAN, n, p1)
+        t2 = d._t2
+        assert calls["index_moments"] == 0
+        assert not {"mean", "variance", "support"} & set(vars(d))
+        assert "pairs" not in vars(t2)
+        mapped = d.for_index(IndexKind.KF_PLUS)
+        assert mapped._t2 is t2 and "pairs" not in vars(t2)
+        assert type(d.mean) is Fraction and type(d.variance) is Fraction
+        assert calls["index_moments"] == 2
+        assert d.mean == expected_index(IndexKind.GUTMAN, n, p1)
+        assert mapped.law is d.law and vars(t2)["pairs"] is d.law
+        assert all(type(t) is int and type(c) is int for t, c in d.law)
+
+
 def test_bulk_path_reaches_past_the_enumeration_cap():
     # 2^28 realizations, yet the weight-count dynamic program stays small
     d = exact_distribution(IndexKind.KF_PLUS, 30, Fraction(1, 2))
@@ -455,6 +475,18 @@ def test_standardizations_agree_at_scale():
     standardized = (values - center) / scale
     assert abs(standardized.mean()) < 0.02
     assert abs(standardized.var(ddof=1) - 1.0) < 0.03
+
+
+def test_sample_standardization_uses_the_ddof_1_deviation():
+    # the KS value recomputed in plain Python from the same draws
+    m = 300
+    result = normality_test(IndexKind.GUTMAN, 10, Fraction(1, 5), m, 3, Standardization.SAMPLE)
+    values = sample_values(IndexKind.GUTMAN, 10, Fraction(1, 5), m, 3).tolist()
+    mean = sum(values) / m
+    sd = math.sqrt(sum((v - mean) ** 2 for v in values) / (m - 1))
+    phi = [NormalDist().cdf((v - mean) / sd) for v in sorted(values)]
+    want = max(max(i / m - f, f - (i - 1) / m) for i, f in enumerate(phi, start=1))
+    assert math.isclose(result.ks_statistic, want, rel_tol=1e-9)
 
 
 def test_normality_result_thresholds():
