@@ -24,9 +24,10 @@ from .distribution import Standardization, monte_carlo, normality_test
 from .indices import MOMENT_INDICES, compute_indices, incremental_indices
 from .metrics import _check_dense_size, bfs_all_pairs, laplacian_resistance, structured_metrics
 from .report import (
-    _report_payload,
+    csv_text,
     expectation_grid_csv,
     report_csv,
+    report_json,
     report_text,
     unexplained_failures,
     verification_table,
@@ -37,8 +38,6 @@ EXIT_USAGE = 2
 EXIT_ENGINE = 3
 EXIT_FORMULA = 4
 
-# Blueprints at most this long run through all engines before output.
-_VERIFY_CAP_DEFAULT = 24
 _FLOAT_RES_TOL = 1e-9
 
 
@@ -48,7 +47,8 @@ class EngineDisagreement(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One parsed invocation; round-trips through JSON."""
+    """One parsed invocation; round-trips through JSON.  Its field defaults
+    are the command line's: the parser sets no default of its own."""
 
     command: str
     n: int | None = None
@@ -62,7 +62,7 @@ class RunConfig:
     pretty: bool = False
     edges_only: bool = False
     blueprint: str | None = None
-    verify_cap: int = _VERIFY_CAP_DEFAULT
+    verify_cap: int = 24  # blueprints at most this long run through all engines
     grid: str | None = None
     expect_only: bool = False
     normality: bool = False
@@ -88,8 +88,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="sample a chain and print its edge list")
     gen.add_argument("--n", type=int, required=True, help="number of pentagons")
-    gen.add_argument("--p1", default="1/2", help="mode-1 probability ('1/2' or '0.5')")
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--p1", help="mode-1 probability ('1/2' or '0.5')")
+    gen.add_argument("--seed", type=int)
     gen.add_argument(
         "--edges-only", action="store_true", help="omit the blueprint header line"
     )
@@ -100,15 +100,14 @@ def _build_parser() -> argparse.ArgumentParser:
     idx.add_argument(
         "--verify-cap",
         type=int,
-        default=_VERIFY_CAP_DEFAULT,
         help="cross-check against the matrix engines when n is at most this",
     )
     idx.add_argument("--out")
 
     rep = sub.add_parser("report", help="verify closed-form moments, export grids")
-    rep.add_argument("--nmax", type=int, default=8, help="verify n = 1..nmax")
+    rep.add_argument("--nmax", type=int, help="verify n = 1..nmax")
     rep.add_argument("--n", type=int, help="chain length for --normality")
-    rep.add_argument("--p1", default="1/2", help="value, or comma list for grids")
+    rep.add_argument("--p1", help="value, or comma list for grids")
     rep.add_argument("--grid", help="n range for --expect-only, e.g. n=1..50")
     rep.add_argument(
         "--expect-only",
@@ -118,9 +117,9 @@ def _build_parser() -> argparse.ArgumentParser:
     rep.add_argument(
         "--normality", action="store_true", help="KS normality rows instead"
     )
-    rep.add_argument("--samples", type=int, default=10000)
-    rep.add_argument("--seed", type=int, default=0)
-    rep.add_argument("--workers", type=int, default=1)
+    rep.add_argument("--samples", type=int)
+    rep.add_argument("--seed", type=int)
+    rep.add_argument("--workers", type=int)
     rep.add_argument(
         "--with-mc",
         action="store_true",
@@ -129,9 +128,8 @@ def _build_parser() -> argparse.ArgumentParser:
     rep.add_argument(
         "--standardization",
         choices=[s.value for s in Standardization],
-        default="closed-form",
     )
-    rep.add_argument("--format", dest="fmt", choices=["json", "csv"], default="json")
+    rep.add_argument("--format", dest="fmt", choices=["json", "csv"])
     rep.add_argument("--pretty", action="store_true", help="human table rendering")
     rep.add_argument("--out")
     return parser
@@ -231,24 +229,6 @@ def cmd_indices(config: RunConfig) -> tuple[str, int]:
     return bundle.to_json(), EXIT_OK
 
 
-def _normality_rows(config: RunConfig) -> list[dict]:
-    if config.n is None:
-        raise ValueError("--normality needs --n")
-    params = ProbabilityParams.parse(config.p1)
-    rows = []
-    for kind in MOMENT_INDICES:
-        result = normality_test(
-            kind,
-            config.n,
-            params.p1,
-            config.samples,
-            config.seed,
-            Standardization(config.standardization),
-        )
-        rows.append(json.loads(result.to_json()) | {"passes_0.01": result.passes(0.01)})
-    return rows
-
-
 def _mc_section(config: RunConfig, n_values, p_list) -> list[dict]:
     rows = []
     for params in p_list:
@@ -283,44 +263,53 @@ def _mc_section(config: RunConfig, n_values, p_list) -> list[dict]:
     return rows
 
 
+_NORMALITY_COLUMNS = (
+    "index", "n", "p1", "sample_count", "ks_statistic", "threshold_0.01", "threshold_0.05",
+    "passes_0.01",
+)
+_MC_COLUMNS = (
+    "index", "n", "p1", "sample_count", "sample_mean", "sample_variance", "abs_z", "within_4se",
+)
+
+
+def _normality_text(config: RunConfig) -> str:
+    """The KS rows of the moment indices at one (n, p1): pretty, CSV or JSON."""
+    if config.n is None:
+        raise ValueError("--normality needs --n")
+    params = ProbabilityParams.parse(config.p1)
+    standardization = Standardization(config.standardization)
+    rows = []
+    for kind in MOMENT_INDICES:
+        result = normality_test(
+            kind, config.n, params.p1, config.samples, config.seed, standardization
+        )
+        rows.append(json.loads(result.to_json()) | {"passes_0.01": result.passes(0.01)})
+    if config.pretty:
+        return "".join(
+            f"{row['index']:<10} n={row['n']:<5} KS={row['ks_statistic']:.5f} "
+            f"{'below' if row['passes_0.01'] else 'ABOVE'} "
+            f"threshold {row['thresholds']['0.01']:.5f}\n"
+            for row in rows
+        )
+    if config.fmt == "csv":
+        records = [
+            row | {f"threshold_{alpha}": t for alpha, t in row["thresholds"].items()}
+            for row in rows
+        ]
+        return csv_text(_NORMALITY_COLUMNS, records)
+    return json.dumps({"normality": rows}, indent=2)
+
+
 def cmd_report(config: RunConfig) -> tuple[str, int]:
     """Verification table, CSV surface, or normality rows, per flags."""
     if config.workers < 1:
         raise ValueError(f"--workers must be >= 1, got {config.workers}")
     if config.normality:
-        rows = _normality_rows(config)
-        if config.fmt == "csv" and not config.pretty:
-            header = (
-                "index,n,p1,sample_count,ks_statistic,"
-                "threshold_0.01,threshold_0.05,passes_0.01"
-            )
-            lines = [header]
-            for row in rows:
-                lines.append(
-                    f"{row['index']},{row['n']},{row['p1']},{row['sample_count']},"
-                    f"{row['ks_statistic']},{row['thresholds']['0.01']},"
-                    f"{row['thresholds']['0.05']},{row['passes_0.01']}"
-                )
-            return "\n".join(lines) + "\n", EXIT_OK
-        if config.pretty:
-            lines = []
-            for row in rows:
-                verdict = "below" if row["passes_0.01"] else "ABOVE"
-                lines.append(
-                    f"{row['index']:<10} n={row['n']:<5} KS={row['ks_statistic']:.5f} "
-                    f"{verdict} threshold {row['thresholds']['0.01']:.5f}"
-                )
-            return "\n".join(lines) + "\n", EXIT_OK
-        return json.dumps({"normality": rows}, indent=2), EXIT_OK
-
+        return _normality_text(config), EXIT_OK
     if config.expect_only:
         n_values = _parse_grid(config.grid) if config.grid else range(1, config.nmax + 1)
         p_list = _parse_p1_list(config.p1)
-        return (
-            expectation_grid_csv(n_values, [p.p1 for p in p_list]),
-            EXIT_OK,
-        )
-
+        return expectation_grid_csv(n_values, [p.p1 for p in p_list]), EXIT_OK
     if config.nmax < 1:
         raise ValueError(f"nmax must be >= 1, got {config.nmax}")
     p_list = _parse_p1_list(config.p1)
@@ -328,34 +317,22 @@ def cmd_report(config: RunConfig) -> tuple[str, int]:
     for params in p_list:
         reports.extend(verification_table(config.nmax, params.p1))
     code = EXIT_FORMULA if unexplained_failures(reports) else EXIT_OK
-
+    mc = _mc_section(config, range(1, config.nmax + 1), p_list) if config.with_mc else None
     if config.pretty:
         text = report_text(reports)
-        if config.with_mc:
-            lines = ["monte carlo:"]
-            for row in _mc_section(config, range(1, config.nmax + 1), p_list):
-                lines.append(
-                    f"  {row['index']:<10} n={row['n']:<3} mean={row['sample_mean']:.6g} "
-                    f"var={row['sample_variance']:.6g} |z|={row['abs_z']:.3f}"
-                )
-            text += "\n".join(lines) + "\n"
-        return text, code
-    if config.fmt == "csv":
+        if mc is not None:
+            text += "monte carlo:\n" + "".join(
+                f"  {row['index']:<10} n={row['n']:<3} mean={row['sample_mean']:.6g} "
+                f"var={row['sample_variance']:.6g} |z|={row['abs_z']:.3f}\n"
+                for row in mc
+            )
+    elif config.fmt == "csv":
         text = report_csv(reports)
-        if config.with_mc:
-            mc_lines = ["index,n,p1,sample_count,sample_mean,sample_variance,abs_z,within_4se"]
-            for row in _mc_section(config, range(1, config.nmax + 1), p_list):
-                mc_lines.append(
-                    f"{row['index']},{row['n']},{row['p1']},{row['sample_count']},"
-                    f"{row['sample_mean']},{row['sample_variance']},"
-                    f"{row['abs_z']},{row['within_4se']}"
-                )
-            text += "\n" + "\n".join(mc_lines) + "\n"
-        return text, code
-    payload = _report_payload(reports)
-    if config.with_mc:
-        payload["monte_carlo"] = _mc_section(config, range(1, config.nmax + 1), p_list)
-    return json.dumps(payload, indent=2), code
+        if mc is not None:
+            text += "\n" + csv_text(_MC_COLUMNS, mc)
+    else:
+        text = report_json(reports, mc)
+    return text, code
 
 
 def _emit(text: str, out: str | None) -> None:

@@ -25,8 +25,9 @@ The variance slope comes from the same engine.  Neither reads the chain
 recurrence table behind `affine_in_t2`, which drives the exact-law oracle,
 so a moment report compares two engines and an error in either shows.
 
-Evaluation is exact rational arithmetic whenever p1 is rational, and plain
-double precision otherwise.
+Evaluation is exact integer arithmetic at every p1: a rational p1 gives an
+exact Fraction, and a float p1 the float nearest the exact value at
+Fraction(p1), rounded once.
 """
 
 from __future__ import annotations
@@ -225,13 +226,12 @@ def _require_moment_index(index: IndexKind) -> None:
 
 @cache
 def _poly_forms(source, kind):
-    """One {power: (c0, c1)} table in both evaluation forms, built once.
+    """One {power: (c0, c1)} table as integers, built once.
 
     kind is an IndexKind (expectation cubic) or a SequenceKind.  Returns
-    (float terms, integer terms, common denominator): the float terms are
-    (power, float(c0), float(c1)) in table order; the integer terms are
-    (c0 * den, c1 * den) for every power from the highest down to 0, with
-    den the least common denominator of every coefficient.
+    (integer terms, common denominator): the terms are (c0 * den, c1 * den)
+    for every power from the highest down to 0, with den the least common
+    denominator of every coefficient.
     """
     if isinstance(kind, SequenceKind):
         poly = _SEQUENCE[source][kind]
@@ -240,28 +240,29 @@ def _poly_forms(source, kind):
     else:
         poly = fitted_expectation_coefficients(kind)
     den = math.lcm(*(c.denominator for pair in poly.values() for c in pair))
-    floats = tuple((power, float(c0), float(c1)) for power, (c0, c1) in poly.items())
     ints = tuple(
         (int(poly[power][0] * den), int(poly[power][1] * den))
         for power in range(max(poly), -1, -1)
     )
-    return floats, ints, den
+    return ints, den
 
 
-def _eval_poly(source, kind, n, p1, exact):
-    floats, ints, den = _poly_forms(source, kind)
-    if exact:
-        # sum (c0 + c1 * a/b) * n**power over the common denominator den * b,
-        # by Horner's rule from the highest power
-        a, b = p1.numerator, p1.denominator
-        total = 0
-        for c0, c1 in ints:
-            total = total * n + c0 * b + c1 * a
-        return Fraction(total, den * b)
-    total = 0.0
-    for power, c0, c1 in floats:
-        total += (c0 + c1 * p1) * float(n) ** power
-    return total
+def _eval_poly(source, kind, n, p1):
+    """sum (c0 + c1 * p1) * n**power for n >= 1 at the exact value of
+    p1 = a/b: a Fraction for exact p1, and for a float p1 the float nearest
+    the exact value at Fraction(p1), rounded once."""
+    n = operator.index(n)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    value, exact = ProbabilityParams.coerce(p1)
+    ints, den = _poly_forms(source, kind)
+    a, b = value.as_integer_ratio()
+    # the sum over the common denominator den * b, by Horner's rule from the
+    # highest power
+    total = 0
+    for c0, c1 in ints:
+        total = total * n + c0 * b + c1 * a
+    return Fraction(total, den * b) if exact else total / (den * b)
 
 
 def expected_index(index, n, p1, source=Source.VERIFIED):
@@ -276,7 +277,8 @@ def expected_index(index, n, p1, source=Source.VERIFIED):
     p1 : Fraction, int, float, Decimal, str or ProbabilityParams
         Mode-1 attachment probability, read by ProbabilityParams.coerce.
         Exact input ("1/3" included) gives an exact Fraction result; a float
-        or a decimal text like "0.3" gives a float.
+        or a decimal text like "0.3" gives the float nearest the exact value
+        at Fraction(p1), rounded once.
     source : Source
         VERIFIED (default) evaluates the cubic fitted from chain values,
         REFERENCE the verbatim reference table.
@@ -285,22 +287,14 @@ def expected_index(index, n, p1, source=Source.VERIFIED):
     that ProbabilityParams.coerce refuses.
     """
     _require_moment_index(index)
-    n = operator.index(n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    value, exact = ProbabilityParams.coerce(p1)
-    return _eval_poly(source, index, n, value, exact)
+    return _eval_poly(source, index, n, p1)
 
 
 def sequence_values(kind, n, p1, source=Source.VERIFIED):
     """Expected load of the open attachment vertex (sequences A to D)."""
     if not isinstance(kind, SequenceKind):
         kind = SequenceKind(str(kind).upper())
-    n = operator.index(n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    value, exact = ProbabilityParams.coerce(p1)
-    return _eval_poly(source, kind, n, value, exact)
+    return _eval_poly(source, kind, n, p1)
 
 
 @cache
@@ -320,7 +314,7 @@ def _exact_step_variance(index, p1) -> tuple[int, int, bool]:
     (numerator, denominator), and whether p1 was exact."""
     _require_moment_index(index)
     value, exact = ProbabilityParams.coerce(p1)
-    a, b = (value.numerator, value.denominator) if exact else value.as_integer_ratio()
+    a, b = value.as_integer_ratio()
     s_num, s_den = _squared_slope(index)
     return a * (b - a) * s_num, b * b * s_den, exact
 

@@ -41,6 +41,9 @@ from .indices import IndexKind, affine_in_t2, index_moments, t2_weights
 
 _STREAMS = 64
 _CHUNK = 4096
+# At most this many uniforms per draw: long chains are drawn fewer rows at a
+# time, from the same stream in the same order, so the values do not change.
+_DRAW_UNIFORMS = 2**22
 
 # Asymptotic two-sided Kolmogorov critical constants c(alpha); the test
 # threshold is c(alpha) / sqrt(sampleCount).
@@ -247,13 +250,15 @@ def _stream_rng(master_seed: int, stream: int) -> np.random.Generator:
 
 
 def _t2_chunks(master_seed: int, stream: int, sample_count: int, n: int, p1f: float):
-    """T2 of one logical stream's draws, one array per chunk, in draw order."""
+    """T2 of one logical stream's draws, in draw order: one array per chunk
+    of at most _CHUNK chains and _DRAW_UNIFORMS uniforms (one chain at least)."""
     steps = max(0, n - 2)
     weights = t2_weights(n)
     rng = _stream_rng(master_seed, stream)
     count = _stream_sample_count(sample_count, stream)
-    for start in range(0, count, _CHUNK):
-        length = min(_CHUNK, count - start)
+    rows = min(_CHUNK, max(1, _DRAW_UNIFORMS // steps)) if steps else _CHUNK
+    for start in range(0, count, rows):
+        length = min(rows, count - start)
         if steps:
             yield (rng.random((length, steps)) >= p1f) @ weights
         else:

@@ -228,6 +228,11 @@ def _flag(value) -> str:
     return "ok" if value else "FAIL"
 
 
+def _cell(value) -> str:
+    """A numeric table cell; an empty oracle column prints as nan."""
+    return f"{float('nan') if value is None else float(value):>16.8g}"
+
+
 def report_text(reports) -> str:
     """Fixed-width table plus a discrepancy section."""
     lines = []
@@ -240,14 +245,11 @@ def report_text(reports) -> str:
         lines.append(header)
         for row in report.rows:
             lines.append(
-                f"{row.index.value:<10} {row.n:>3} "
-                f"{_num(row.expected_reference):>16.8g} "
-                f"{_num(row.expected_verified):>16.8g} "
-                f"{(_num(row.expected_oracle) if row.expected_oracle is not None else float('nan')):>16.8g} "
+                f"{row.index.value:<10} {row.n:>3} {_cell(row.expected_reference)} "
+                f"{_cell(row.expected_verified)} {_cell(row.expected_oracle)} "
                 f"{_flag(row.expected_reference_match):>4} "
                 f"{_flag(row.expected_verified_match):>4} "
-                f"{_num(row.variance):>16.8g} "
-                f"{(_num(row.variance_oracle) if row.variance_oracle is not None else float('nan')):>16.8g} "
+                f"{_cell(row.variance)} {_cell(row.variance_oracle)} "
                 f"{_flag(row.variance_match):>4}"
             )
         lines.append("")
@@ -268,6 +270,7 @@ def report_text(reports) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The output fields of a row, in order; each names a MomentRow field.
 _CSV_COLUMNS = (
     "index",
     "n",
@@ -285,42 +288,35 @@ _CSV_COLUMNS = (
     "variance_gap_abs",
     "variance_gap_rel",
 )
+_AS_IS = frozenset({"n", "expected_reference_match", "expected_verified_match", "variance_match"})
 
 
 def _row_record(row: MomentRow) -> dict:
-    return {
-        "index": row.index.value,
-        "n": row.n,
-        "p1": _num(row.p1),
-        "expected_reference": _num(row.expected_reference),
-        "expected_verified": _num(row.expected_verified),
-        "expected_oracle": _num(row.expected_oracle),
-        "expected_reference_match": row.expected_reference_match,
-        "expected_verified_match": row.expected_verified_match,
-        "expected_gap_abs": _num(row.expected_gap_abs),
-        "expected_gap_rel": _num(row.expected_gap_rel),
-        "variance": _num(row.variance),
-        "variance_oracle": _num(row.variance_oracle),
-        "variance_match": row.variance_match,
-        "variance_gap_abs": _num(row.variance_gap_abs),
-        "variance_gap_rel": _num(row.variance_gap_rel),
-    }
+    """The row's output fields in _CSV_COLUMNS order: the index by name, n and
+    the match flags as they are, every other field as a float or None."""
+    record = {"index": row.index.value}
+    for column in _CSV_COLUMNS[1:]:
+        value = getattr(row, column)
+        record[column] = value if column in _AS_IS else _num(value)
+    return record
 
 
-def report_csv(reports) -> str:
-    lines = [",".join(_CSV_COLUMNS)]
-    for report in reports:
-        for row in report.rows:
-            record = _row_record(row)
-            lines.append(
-                ",".join("" if record[c] is None else str(record[c]) for c in _CSV_COLUMNS)
-            )
+def csv_text(columns, records) -> str:
+    """A header line and one line per record dict, None as an empty cell."""
+    lines = [",".join(columns)]
+    for record in records:
+        lines.append(",".join("" if record[c] is None else str(record[c]) for c in columns))
     return "\n".join(lines) + "\n"
 
 
-def _report_payload(reports) -> dict:
-    """The JSON report as a dict: reports, discrepancies, unexplained failures."""
-    return {
+def report_csv(reports) -> str:
+    return csv_text(_CSV_COLUMNS, [_row_record(row) for report in reports for row in report.rows])
+
+
+def report_json(reports, monte_carlo=None) -> str:
+    """The JSON report: reports, discrepancies, unexplained failures, and the
+    Monte Carlo rows when given."""
+    payload = {
         "reports": [
             {
                 "n": report.n,
@@ -341,10 +337,9 @@ def _report_payload(reports) -> dict:
         ],
         "unexplained_failures": unexplained_failures(reports),
     }
-
-
-def report_json(reports) -> str:
-    return json.dumps(_report_payload(reports), indent=2)
+    if monte_carlo is not None:
+        payload["monte_carlo"] = monte_carlo
+    return json.dumps(payload, indent=2)
 
 
 def expectation_grid_csv(n_values, p1_values) -> str:

@@ -210,12 +210,26 @@ def test_unwritable_out_exits_2_with_one_line(tmp_path, capsys):
         ),
         (
             ["report", "--nmax", "9", "--p1", "0.3", "--format", "csv"],
-            "4e5ac0870ff0c863d85e6b697b798f6354d014d3",
+            "7515111a2feb113fa35096bbc610b3ac741534b0",
         ),
         (
             # rows past the oracle limit, at a rational and a float p1
             ["report", "--nmax", "24", "--p1", "1/3,0.3", "--format", "csv"],
-            "b3dc36de338bba4a3f85c9b06883b1adb1b5cdaa",
+            "6b3d098533929190d4a94193736393bbfe106f59",
+        ),
+        (
+            # every row matches: no discrepancy is triggered
+            ["report", "--nmax", "1", "--pretty"],
+            "ca5f078d7b8affde94350cf22360abea5b7bd9b8",
+        ),
+        (
+            # the empty oracle cells past the oracle limit print as nan
+            ["report", "--nmax", "24", "--p1", "1/3", "--pretty"],
+            "34f40c6680bedeb93d0809585d15097e3dbd097c",
+        ),
+        (
+            ["report", "--expect-only", "--grid", "n=1..30", "--p1", "1/3,1/2"],
+            "343b21d50cc4a08422a8845d73b0436d6a17f9f6",
         ),
     ],
 )
@@ -240,6 +254,25 @@ def test_report_stdout_is_golden(argv, sha1, capsys):
         (
             ["generate", "--n", "40", "--p1", "0.3", "--seed", "12"],
             "bb236292a2fb87c5bb5108ecfbe86355b7fa4106",
+        ),
+        (
+            ["report", "--nmax", "3", "--samples", "2000", "--seed", "6", "--with-mc"],
+            "fe5a1d1cd0c1ab9dbaa9ad5985862bca02b091ef",
+        ),
+        (
+            ["report", "--nmax", "3", "--samples", "2000", "--seed", "6", "--with-mc",
+             "--pretty"],
+            "99ea233ea6e3f78d62750797f5db93b39bfe9e79",
+        ),
+        (
+            ["report", "--normality", "--n", "30", "--samples", "2000", "--seed", "1",
+             "--format", "csv"],
+            "a42f1da7fdfb15d8852ceff31cb9d3a25ad3aa61",
+        ),
+        (
+            ["report", "--normality", "--n", "30", "--samples", "2000", "--seed", "1",
+             "--pretty"],
+            "20a971594c28310c0917ee9a19a0b47d6680a4a0",
         ),
     ],
 )

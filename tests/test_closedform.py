@@ -325,14 +325,6 @@ def _fraction_terms(poly, n, p):
     return sum((c0 + c1 * p) * Fraction(n) ** power for power, (c0, c1) in poly.items())
 
 
-def _float_loop(poly, n, p1):
-    # reference: one float term per table entry, in table order
-    total = 0.0
-    for power, (c0, c1) in poly.items():
-        total += (float(c0) + float(c1) * p1) * float(n) ** power
-    return total
-
-
 def _float_variance(index, n, p1):
     # reference: the exact Fraction value at Fraction(p1), rounded once
     p = Fraction(p1)
@@ -358,10 +350,12 @@ def test_exact_closed_forms_equal_term_by_term_fractions():
 
 
 def test_float_closed_forms_are_the_float_loop_bit_for_bit():
+    # reference: the exact Fraction value at Fraction(p), rounded once
     for fn, kind, source, poly in _tables():
         for p in FLOAT_P1:
             for n in range(1, 61):
-                assert fn(kind, n, p, source).hex() == _float_loop(poly, n, p).hex()
+                exact = _fraction_terms(poly, n, Fraction(p))
+                assert fn(kind, n, p, source).hex() == float(exact).hex()
     for index in MOMENT_INDICES:
         for p in FLOAT_P1:
             assert moment_params(index, p).step_variance.hex() == _float_variance(index, 3, p)[1].hex()

@@ -1,5 +1,6 @@
 """Exact distributions, Monte Carlo streams, and the normality test."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -349,6 +350,41 @@ def test_monte_carlo_worker_invariant_over_multi_chunk_streams():
     assert runs[0][IndexKind.GUTMAN].count == count
 
 
+def test_draws_are_capped_in_uniforms_without_changing_the_values(monkeypatch):
+    # 643 draws: streams 0-2 take 11 chains, the other 61 take 10
+    p1, count, seed = Fraction(1, 3), 643, 4
+    before = {
+        n: (
+            sample_values(IndexKind.GUTMAN, n, p1, count, seed),
+            monte_carlo(MOMENT_INDICES, n, p1, count, seed),
+        )
+        for n in (10, 100)
+    }
+    shapes = []
+    stream_rng = distribution._stream_rng
+
+    class Recording:
+        """A stream's generator that records the shape of every draw."""
+
+        def __init__(self, rng):
+            self.rng = rng
+
+        def random(self, shape):
+            shapes.append(shape)
+            return self.rng.random(shape)
+
+    monkeypatch.setattr(distribution, "_stream_rng", lambda *args: Recording(stream_rng(*args)))
+    monkeypatch.setattr(distribution, "_DRAW_UNIFORMS", 64)
+    # at a 64-uniform cap, n = 10 draws 8 chains of 8 choices at a time, and
+    # n = 100, whose 98 choices exceed the cap, one chain at a time
+    want = {10: [(8, 8), (3, 8)] * 3 + [(8, 8), (2, 8)] * 61, 100: [(1, 98)] * count}
+    for n, (values, stats) in before.items():
+        shapes.clear()
+        assert sample_values(IndexKind.GUTMAN, n, p1, count, seed).tobytes() == values.tobytes()
+        assert shapes == want[n]
+        assert monte_carlo(MOMENT_INDICES, n, p1, count, seed) == stats
+
+
 def test_monte_carlo_fields_are_exact_rationals_rounded_once():
     # Schultz has an integer base and slope: its draws are exact integers in
     # float64, so each T2 draw is recovered exactly from them
@@ -502,6 +538,9 @@ def test_normality_result_thresholds():
     assert math.isclose(result.threshold(0.01), 1.628 / 100.0)
     assert math.isclose(result.threshold(0.05), 1.358 / 100.0)
     assert result.passes(0.01) and result.passes(0.05)
+    # a statistic exactly at the threshold does not pass
+    at_threshold = dataclasses.replace(result, ks_statistic=result.threshold(0.01))
+    assert not at_threshold.passes(0.01)
     with pytest.raises(ValueError):
         result.threshold(0.10)
     payload = result.to_json()

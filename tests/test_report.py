@@ -149,23 +149,21 @@ def test_integer_report_equals_the_fraction_report_at_random_rationals(n, b, dat
 
 
 @pytest.mark.parametrize(
-    "rel, match", [(Fraction(1, 2 * 10**9), True), (Fraction(2, 10**9), False)], ids=str
-)
-@pytest.mark.parametrize(
-    "n, p1",
+    "n, p1, rel, match",
     [
+        pytest.param(n, p1, rel, match, id=f"{n!r}-{p1!r}-{rel}-{match}")
         # n = 2 is deterministic: every variance oracle is 0, so |oracle| < 1
         # and the tolerance is absolute; the expectations lie above 1
-        (2, Fraction(1, 2)),
-        (6, Fraction(1, 5)),
-        (2, 0.5),
-        (6, 0.2),
+        for n, p1 in [(2, Fraction(1, 2)), (6, Fraction(1, 5)), (2, 0.5), (6, 0.2)]
+        for rel, match in [(Fraction(1, 2 * 10**9), True), (Fraction(2, 10**9), False)]
+        # exactly at the tolerance only exact p1 is unambiguous: a float shift
+        # rounds to either side
+        + ([(Fraction(1, 10**9), True)] if type(p1) is Fraction else [])
     ],
-    ids=repr,
 )
 def test_match_flags_at_the_tolerance_boundary(n, p1, rel, match, monkeypatch):
     # every closed form is moved off the oracle by rel * max(1, |oracle|):
-    # half the 1e-9 tolerance matches, twice it does not
+    # half the 1e-9 tolerance matches, exactly it matches, twice it does not
     exact = isinstance(p1, Fraction)
     true_mean, true_variance = report.expected_index, report.variance_index
 

@@ -1,7 +1,8 @@
 """Mutation gate: every listed one-line change to src/ must fail tier-1.
 
 Each mutant replaces one line of a module under src/pentachain with a wrong
-variant: a constant, a boundary, a ddof, a dropped term.  The script copies
+variant: a constant, a boundary, a ddof, a dropped term.  A line that occurs
+twice is named together with its next line.  The script copies
 the repository to a temporary directory once, runs the tier-1 suite there
 unmutated (it must pass), then applies each mutant in turn and runs the
 suite with -x -q.  A mutant is killed when the suite fails.  The script
@@ -117,6 +118,40 @@ MUTANTS = [
         "metrics.py",
         "    if V > DEFAULT_DENSE_CAP:",
         "    if V >= DEFAULT_DENSE_CAP:",
+    ),
+    (
+        "within-tolerance-boundary",
+        "report.py",
+        "    return gap_num * den * _REL_TOL_DEN <= gap_den * scale",
+        "    return gap_num * den * _REL_TOL_DEN < gap_den * scale",
+    ),
+    (
+        # the test line occurs twice in report.py; its next line picks the one
+        # in triggered_discrepancies
+        "triggered-discrepancies-test",
+        "report.py",
+        "            if row.expected_reference_match is False:\n"
+        "                for entry in discrepancies_for(row.index):",
+        "            if row.expected_reference_match is not False:\n"
+        "                for entry in discrepancies_for(row.index):",
+    ),
+    (
+        "pretty-empty-oracle-cell",
+        "report.py",
+        """    return f"{float('nan') if value is None else float(value):>16.8g}\"""",
+        """    return f"{float('nan') if value is not None else float(value):>16.8g}\"""",
+    ),
+    (
+        "normality-passes-boundary",
+        "distribution.py",
+        "        return self.ks_statistic < self.threshold(alpha)",
+        "        return self.ks_statistic <= self.threshold(alpha)",
+    ),
+    (
+        "draw-uniforms-cap",
+        "distribution.py",
+        "    rows = min(_CHUNK, max(1, _DRAW_UNIFORMS // steps)) if steps else _CHUNK",
+        "    rows = _CHUNK",
     ),
 ]
 
