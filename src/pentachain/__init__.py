@@ -28,14 +28,12 @@ from .cli import RunConfig, cmd_generate, cmd_indices, cmd_report, main, verify_
 from .closedform import (
     DISCREPANCIES,
     Discrepancy,
-    MomentParams,
     SequenceKind,
     Source,
     discrepancies_for,
     expected_index,
     fitted_expectation_coefficients,
     interpolate_polynomial,
-    moment_params,
     sequence_values,
     variance_index,
 )

@@ -4,7 +4,12 @@ Exit code contract: 0 success, 2 usage or invalid arguments, 3 engine
 disagreement, 4 formula mismatch the discrepancy registry cannot explain.
 p1 accepts an exact rational string like "1/2" (enabling the exact-arithmetic
 pipelines) or a decimal like "0.5"; every seeded command is bit-reproducible
-for a fixed seed regardless of worker count.
+for a fixed seed regardless of worker count, and the process pool has at
+most one worker per sample stream.  report --normality prints one statistic,
+from one draw, for the four moment indices: each is base + slope * T2 with
+slope > 0, so all four standardize alike.  report refuses (exit 2) the flags
+its mode would drop: --with-mc with --normality or --expect-only, --pretty or
+--format json with --expect-only, and --expect-only at --nmax < 1 without --grid.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ class RunConfig:
     seed: int = 0
     samples: int = 10000
     workers: int = 1
-    fmt: str = "json"
+    fmt: str | None = None  # None: the mode's own format, CSV for --expect-only, else JSON
     out: str | None = None
     pretty: bool = False
     edges_only: bool = False
@@ -273,17 +278,20 @@ _MC_COLUMNS = (
 
 
 def _normality_text(config: RunConfig) -> str:
-    """The KS rows of the moment indices at one (n, p1): pretty, CSV or JSON."""
+    """The KS rows of the moment indices at one (n, p1): pretty, CSV or JSON.
+    Each index standardizes to the standardized T2, so one statistic serves all."""
     if config.n is None:
         raise ValueError("--normality needs --n")
     params = ProbabilityParams.parse(config.p1)
     standardization = Standardization(config.standardization)
-    rows = []
-    for kind in MOMENT_INDICES:
-        result = normality_test(
-            kind, config.n, params.p1, config.samples, config.seed, standardization
-        )
-        rows.append(json.loads(result.to_json()) | {"passes_0.01": result.passes(0.01)})
+    result = normality_test(
+        MOMENT_INDICES[0], config.n, params.p1, config.samples, config.seed, standardization
+    )
+    rows = [
+        json.loads(dataclasses.replace(result, index=kind).to_json())
+        | {"passes_0.01": result.passes(0.01)}
+        for kind in MOMENT_INDICES
+    ]
     if config.pretty:
         return "".join(
             f"{row['index']:<10} n={row['n']:<5} KS={row['ks_statistic']:.5f} "
@@ -304,14 +312,18 @@ def cmd_report(config: RunConfig) -> tuple[str, int]:
     """Verification table, CSV surface, or normality rows, per flags."""
     if config.workers < 1:
         raise ValueError(f"--workers must be >= 1, got {config.workers}")
+    if config.with_mc and (config.normality or config.expect_only):
+        raise ValueError("--with-mc applies to the verification table only")
+    if config.expect_only and (config.pretty or config.fmt == "json"):
+        raise ValueError("--expect-only prints CSV only: no --pretty or --format json")
     if config.normality:
         return _normality_text(config), EXIT_OK
+    if config.nmax < 1 and not (config.expect_only and config.grid):
+        raise ValueError(f"nmax must be >= 1, got {config.nmax}")
     if config.expect_only:
         n_values = _parse_grid(config.grid) if config.grid else range(1, config.nmax + 1)
         p_list = _parse_p1_list(config.p1)
         return expectation_grid_csv(n_values, [p.p1 for p in p_list]), EXIT_OK
-    if config.nmax < 1:
-        raise ValueError(f"nmax must be >= 1, got {config.nmax}")
     p_list = _parse_p1_list(config.p1)
     reports = []
     for params in p_list:

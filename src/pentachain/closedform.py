@@ -108,19 +108,6 @@ _SEQUENCE = {
 
 
 @dataclass(frozen=True)
-class MomentParams:
-    """Variance building block of one index at a given p1.
-
-    step_variance = p1(1-p1) * slope**2 is the variance that one attachment
-    choice of weight 1 adds to the index; the index variance is
-    step_variance * sum_k w_k**2.
-    """
-
-    index: IndexKind
-    step_variance: Fraction | float
-
-
-@dataclass(frozen=True)
 class Discrepancy:
     """One verified gap between a reference closed form and the oracle."""
 
@@ -309,41 +296,27 @@ def _squared_slope(index) -> tuple[int, int]:
     return slope.numerator**2, slope.denominator**2
 
 
-def _exact_step_variance(index, p1) -> tuple[int, int, bool]:
-    """p1(1-p1) * slope**2 at the exact value of p1 = a/b, as integers
-    (numerator, denominator), and whether p1 was exact."""
-    _require_moment_index(index)
-    value, exact = ProbabilityParams.coerce(p1)
-    a, b = value.as_integer_ratio()
-    s_num, s_den = _squared_slope(index)
-    return a * (b - a) * s_num, b * b * s_den, exact
-
-
-def moment_params(index, p1) -> MomentParams:
-    """Variance block of one index at p1: step_variance = p1(1-p1) * slope**2.
-
-    Vanishes at p1 in {0, 1}.  Exact when p1 is rational; float p1 gives the
-    float nearest the exact value at Fraction(p1).
-    """
-    num, den, exact = _exact_step_variance(index, p1)
-    return MomentParams(index=index, step_variance=Fraction(num, den) if exact else num / den)
-
-
 def variance_index(index, n, p1):
     """Closed-form variance of one index over random chains of n pentagons.
 
     T2 is a sum of independent weighted Bernoulli(1 - p1) choices, so the
-    variance is step_variance * sum_k w_k**2 with
-    sum_k w_k**2 = n(n-1)(n-2)((n-1)**2 + 1) / 30.  Zero for n <= 2 (the
-    chain is deterministic) and at p1 in {0, 1}.  Computed in exact
-    integers over one denominator; float p1 is converted through
-    Fraction(p1) and the result rounded once.
+    variance is p1(1-p1) * slope**2 * sum_k w_k**2 with
+    sum_k w_k**2 = n(n-1)(n-2)((n-1)**2 + 1) / 30.  At n = 3 that sum is 1,
+    so variance_index(index, 3, p1) is the variance one choice of weight 1
+    adds.  Zero for n <= 2 (the chain is deterministic) and at p1 in
+    {0, 1}.  Computed in exact integers over one denominator at the exact
+    value of p1 = a/b; float p1 is converted through Fraction(p1) and the
+    result rounded once.
     """
     n = operator.index(n)
     if n < 1:
         raise ValueError("n must be >= 1")
-    num, den, exact = _exact_step_variance(index, p1)
-    num *= n * (n - 1) * (n - 2) * ((n - 1) ** 2 + 1) // 30
+    _require_moment_index(index)
+    value, exact = ProbabilityParams.coerce(p1)
+    a, b = value.as_integer_ratio()
+    s_num, s_den = _squared_slope(index)
+    num = a * (b - a) * s_num * (n * (n - 1) * (n - 2) * ((n - 1) ** 2 + 1) // 30)
+    den = b * b * s_den
     # int / int rounds once, to the float nearest the exact quotient
     return Fraction(num, den) if exact else num / den
 

@@ -307,6 +307,9 @@ def monte_carlo(
         raise ValueError("need at least one index")
     p1f = _check_sampling(n, p1, sample_count)
     tasks = [(master_seed, s, sample_count, n, p1f) for s in range(min(_STREAMS, sample_count))]
+    # a fork pool starts all its processes at the first submit, and a process
+    # past one per task would only idle
+    workers = min(workers, len(tasks))
     if workers > 1:
         # imported here: the process pool pulls in multiprocessing, about 2 MB
         # of resident memory that single-worker runs never use

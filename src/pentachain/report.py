@@ -342,27 +342,24 @@ def report_json(reports, monte_carlo=None) -> str:
     return json.dumps(payload, indent=2)
 
 
+_GRID_COLUMNS = ("n", "p1") + tuple(
+    f"{moment}_{name}" for moment in ("E", "Var") for name in ("gut", "schultz", "kfstar", "kfplus")
+)
+
+
 def expectation_grid_csv(n_values, p1_values) -> str:
     """Surface export: verified expectations and variances over a grid.
 
     Columns n, p1, E_gut, E_schultz, E_kfstar, E_kfplus, Var_gut,
     Var_schultz, Var_kfstar, Var_kfplus; rows ordered n-major.
     """
-    names = ("gut", "schultz", "kfstar", "kfplus")
-    header = (
-        ["n", "p1"]
-        + [f"E_{name}" for name in names]
-        + [f"Var_{name}" for name in names]
-    )
-    lines = [",".join(header)]
+    records = []
     for n in n_values:
         for p1 in p1_values:
-            cells = [str(n), f"{float(p1):g}"]
-            cells += [
-                f"{float(expected_index(kind, n, p1)):.12g}" for kind in MOMENT_INDICES
+            cells = [
+                f"{float(fn(kind, n, p1)):.12g}"
+                for fn in (expected_index, variance_index)
+                for kind in MOMENT_INDICES
             ]
-            cells += [
-                f"{float(variance_index(kind, n, p1)):.12g}" for kind in MOMENT_INDICES
-            ]
-            lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+            records.append(dict(zip(_GRID_COLUMNS, [n, f"{float(p1):g}", *cells])))
+    return csv_text(_GRID_COLUMNS, records)

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import pentachain.cli as cli
+import pentachain.distribution as distribution
 import pentachain.report as report_mod
 from pentachain import (
     AttachmentMode,
@@ -31,6 +32,8 @@ from pentachain import (
     all_mode_blueprint,
     main,
 )
+
+from helpers import count_calls
 
 
 def run(argv, capsys):
@@ -244,7 +247,7 @@ def test_report_stdout_is_golden(argv, sha1, capsys):
     [
         (
             ["report", "--normality", "--n", "100", "--samples", "10000", "--seed", "1"],
-            "84971cac8969add042384e7efaea255c99a5dc95",
+            "a0da77b0a962365120edcfec319d7ea77af62b8e",
         ),
         (
             ["report", "--nmax", "3", "--samples", "2000", "--seed", "6", "--with-mc",
@@ -267,7 +270,7 @@ def test_report_stdout_is_golden(argv, sha1, capsys):
         (
             ["report", "--normality", "--n", "30", "--samples", "2000", "--seed", "1",
              "--format", "csv"],
-            "a42f1da7fdfb15d8852ceff31cb9d3a25ad3aa61",
+            "0d56e501ef9fcdd6ea7d17a2042d371ff5afc80f",
         ),
         (
             ["report", "--normality", "--n", "30", "--samples", "2000", "--seed", "1",
@@ -505,6 +508,46 @@ def test_report_normality_validation(capsys):
     argv = ["report", "--normality", "--n", "5", "--samples", "1", "--standardization", "sample"]
     code, out, err = run(argv, capsys)
     assert code == 2 and out == "" and err.startswith("error: ")
+
+
+def test_report_normality_draws_once(monkeypatch, capsys):
+    # the four moment indices share one standardized T2: one draw, one row each
+    calls = count_calls(monkeypatch, distribution, ("sample_values",))
+    argv = ["report", "--normality", "--n", "30", "--samples", "500", "--seed", "1"]
+    code, out, _ = run(argv, capsys)
+    assert code == 0 and calls == {"sample_values": 1}
+    rows = json.loads(out)["normality"]
+    assert [row["index"] for row in rows] == ["gutman", "schultz", "kf_star", "kf_plus"]
+    assert len({json.dumps({**row, "index": None}) for row in rows}) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--expect-only", "--nmax", "2", "--pretty"], "CSV only"),
+        (["--expect-only", "--nmax", "2", "--format", "json"], "CSV only"),
+        (["--expect-only", "--nmax", "2", "--format", "json", "--pretty"], "CSV only"),
+        (["--expect-only", "--grid", "n=1..3", "--with-mc"], "--with-mc applies"),
+        (["--expect-only", "--nmax", "0"], "nmax must be >= 1, got 0"),
+        (["--normality", "--n", "10", "--with-mc"], "--with-mc applies"),
+    ],
+)
+def test_report_refuses_flags_its_mode_would_drop(argv, message, monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a refused invocation started work")
+
+    for name in ("expectation_grid_csv", "normality_test", "monte_carlo", "verification_table"):
+        monkeypatch.setattr(cli, name, no_work)
+    code, out, err = run(["report", *argv], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+def test_expect_only_takes_its_own_format(capsys):
+    # the grid is CSV: naming that format changes nothing
+    argv = ["report", "--expect-only", "--grid", "n=1..3", "--p1", "1/3"]
+    assert run(argv, capsys) == run([*argv, "--format", "csv"], capsys)
+    assert RunConfig(command="report").fmt is None
 
 
 def test_report_with_mc(capsys):

@@ -1,6 +1,7 @@
 """Closed-form moments against the enumeration oracle, both sources."""
 
 import math
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -27,7 +28,6 @@ from pentachain import (
     fitted_expectation_coefficients,
     incremental_indices,
     interpolate_polynomial,
-    moment_params,
     moment_report,
     monte_carlo,
     sample_blueprint,
@@ -94,6 +94,62 @@ def test_registry_covers_the_biased_indices():
     for key, d in DISCREPANCIES.items():
         assert d.key == key
         assert d.evidence and d.reference_form != d.verified_form
+
+
+def registry_form(text):
+    """A registry form such as "(44 - 8p)n^3 + 48p" as a function of (n, p):
+    integers read as Fractions, ^ as a power, and * put between operands
+    that stand side by side."""
+    token = r"\d+|[np()+\-/^]"
+    if re.sub(token + r"|\s", "", text):
+        raise ValueError(f"not a polynomial form: {text!r}")
+    parts, prev = [], None
+    for tok in re.findall(token, text):
+        if prev and (prev.isdigit() or prev in "np)") and (tok.isdigit() or tok in "np("):
+            parts.append("*")
+        if tok.isdigit():
+            parts.append(tok if prev == "^" else f"F({tok})")
+        else:
+            parts.append("**" if tok == "^" else tok)
+        prev = tok
+    expr = " ".join(parts)
+    return lambda n, p: eval(expr, {"F": Fraction, "n": n, "p": p})
+
+
+# the table each registry entry's two forms were copied from
+REGISTRY_TABLES = {
+    "kf-plus-expectation": lambda n, p, source: expected_index(IndexKind.KF_PLUS, n, p, source),
+    "kf-star-expectation": lambda n, p, source: expected_index(IndexKind.KF_STAR, n, p, source),
+    "attachment-resistance-sum": lambda n, p, source: sequence_values(
+        SequenceKind.D, n, p, source
+    ),
+}
+
+
+@pytest.mark.parametrize("key", REGISTRY_TABLES)
+def test_registry_forms_are_their_tables(key):
+    # each side is at most cubic in n and affine in p1, so agreement at
+    # n = 1..5 and three p1 values makes the form and the table one polynomial
+    entry, table = DISCREPANCIES[key], REGISTRY_TABLES[key]
+    reference = registry_form(entry.reference_form)
+    verified = registry_form(entry.verified_form)
+    evidence = re.search(r"reference - verified = ([^;,]+)", entry.evidence)
+    gap = registry_form(evidence.group(1)) if evidence else None
+    for n in range(1, 6):
+        for p in (Fraction(0), Fraction(1, 3), Fraction(1)):
+            assert reference(n, p) == table(n, p, Source.REFERENCE), (n, p)
+            assert verified(n, p) == table(n, p, Source.VERIFIED), (n, p)
+            if gap is not None:
+                assert reference(n, p) - verified(n, p) == gap(n, p), (n, p)
+    assert (gap is not None) is (key != "attachment-resistance-sum")
+
+
+def test_registry_form_reading():
+    form = registry_form("(264/5 - 48/5 p)n^3 - (47/5 + 96/5 p)n - 1")
+    assert form(2, Fraction(1, 2)) == Fraction(264 - 24, 5) * 8 - Fraction(47 + 48, 5) * 2 - 1
+    assert registry_form("24p(n-1)(n-2)")(4, Fraction(1, 3)) == 48
+    with pytest.raises(ValueError):
+        registry_form("n^2 + x")
 
 
 # The verified expectation cubics as {power: (c0, c1)}, c0 + c1 * p1 the n**power
@@ -176,30 +232,30 @@ def test_variance_nonnegative_on_fine_grid():
 
 
 def test_variance_leading_order():
-    # quintic growth: Var ~ step_variance * n^5 / 30
+    # quintic growth: Var ~ step_variance * n^5 / 30, where the step variance
+    # is the variance at n = 3, whose one weight is 1
     n = 10**4
     for index in MOMENT_INDICES:
-        params = moment_params(index, 0.3)
-        ratio = variance_index(index, n, 0.3) / (params.step_variance * n**5 / 30)
+        step_variance = variance_index(index, 3, 0.3)
+        ratio = variance_index(index, n, 0.3) / (step_variance * n**5 / 30)
         assert abs(ratio - 1) < 0.02
 
 
 @pytest.mark.parametrize("index", MOMENT_INDICES)
 def test_moment_params_structure(index):
+    # at n = 3 the one choice has weight 1: the variance is p1(1-p1) * slope^2
     p = Fraction(2, 5)
-    params = moment_params(index, p)
-    assert params.index is index
-    assert params.step_variance == p * (1 - p) * GAPS[index] ** 2
+    assert variance_index(index, 3, p) == p * (1 - p) * GAPS[index] ** 2
 
 
 @given(st.floats(0.0, 1.0, allow_nan=False))
 @settings(max_examples=80)
 def test_moment_params_bounds(p):
     for index in MOMENT_INDICES:
-        params = moment_params(index, p)
-        assert params.step_variance >= 0
+        step_variance = variance_index(index, 3, p)
+        assert step_variance >= 0
         if p in (0.0, 1.0):
-            assert params.step_variance == 0
+            assert step_variance == 0
 
 
 def test_sequence_values():
@@ -343,7 +399,7 @@ def test_exact_closed_forms_equal_term_by_term_fractions():
     for index in MOMENT_INDICES:
         _, slope = affine_in_t2(index, 1)
         for p in map(Fraction, EXACT_P1):
-            assert moment_params(index, p).step_variance == p * (1 - p) * slope**2
+            assert variance_index(index, 3, p) == p * (1 - p) * slope**2
             for n in range(1, 61):
                 sum_w2 = sum(w * w for w in t2_weights(n).tolist())
                 assert variance_index(index, n, p) == p * (1 - p) * slope**2 * sum_w2
@@ -358,7 +414,7 @@ def test_float_closed_forms_are_the_float_loop_bit_for_bit():
                 assert fn(kind, n, p, source).hex() == float(exact).hex()
     for index in MOMENT_INDICES:
         for p in FLOAT_P1:
-            assert moment_params(index, p).step_variance.hex() == _float_variance(index, 3, p)[1].hex()
+            assert variance_index(index, 3, p).hex() == _float_variance(index, 3, p)[1].hex()
             for n in range(1, 61):
                 assert variance_index(index, n, p).hex() == _float_variance(index, n, p)[0].hex()
 
@@ -381,7 +437,7 @@ def test_moment_index_validation():
     with pytest.raises(ValueError):
         expected_index(IndexKind.GUTMAN, 3, 1.5)
     with pytest.raises(ValueError):
-        moment_params(IndexKind.GUTMAN, -0.2)
+        variance_index(IndexKind.GUTMAN, 3, -0.2)
 
 
 # (p1, checked value, exact) for accepted input, (p1, error message, None)

@@ -1,5 +1,6 @@
 """Exact distributions, Monte Carlo streams, and the normality test."""
 
+import concurrent.futures
 import dataclasses
 import math
 import os
@@ -350,6 +351,28 @@ def test_monte_carlo_worker_invariant_over_multi_chunk_streams():
     assert runs[0][IndexKind.GUTMAN].count == count
 
 
+def test_process_pool_is_bounded_by_the_task_count(monkeypatch):
+    # a fork pool starts all its processes at the first submit; a thread pool
+    # that records its size stands in for it, so no process starts
+    sizes = []
+
+    class Recorder(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+    p1, seed = Fraction(1, 3), 7
+    serial = {count: monte_carlo(MOMENT_INDICES, 10, p1, count, seed) for count in (1, 3)}
+    # the stand-in is in place before a large request can reach a real pool
+    assert monte_carlo(MOMENT_INDICES, 10, p1, 3, seed, workers=2) == serial[3]
+    assert sizes == [2]
+    # three draws make three tasks, and one task needs no pool
+    assert monte_carlo(MOMENT_INDICES, 10, p1, 3, seed, workers=10**5) == serial[3]
+    assert monte_carlo(MOMENT_INDICES, 10, p1, 1, seed, workers=2) == serial[1]
+    assert sizes == [2, 3]
+
+
 def test_draws_are_capped_in_uniforms_without_changing_the_values(monkeypatch):
     # 643 draws: streams 0-2 take 11 chains, the other 61 take 10
     p1, count, seed = Fraction(1, 3), 643, 4
@@ -484,6 +507,18 @@ def test_normality_goes_through_the_names_the_benchmark_traces(monkeypatch):
     calls = count_calls(monkeypatch, distribution, ("sample_values", "ks_statistic"))
     normality_test(IndexKind.GUTMAN, 10, Fraction(1, 5), 200, 0)
     assert calls == {"sample_values": 1, "ks_statistic": 1}
+
+
+@pytest.mark.parametrize("standardization", list(Standardization))
+@pytest.mark.parametrize("n, p1", [(30, Fraction(1, 5)), (100, Fraction(1, 2))])
+def test_every_moment_index_reads_the_gutman_statistic(n, p1, standardization):
+    # every moment index is base + slope * T2 with slope > 0, so all four
+    # standardize to one standardized T2; report --normality relies on it
+    m, seed = 2000, 11
+    want = normality_test(IndexKind.GUTMAN, n, p1, m, seed, standardization).ks_statistic
+    for kind in MOMENT_INDICES[1:]:
+        got = normality_test(kind, n, p1, m, seed, standardization).ks_statistic
+        assert abs(got - want) <= 1e-12, kind
 
 
 def test_normality_far_from_normal_at_small_n():

@@ -153,6 +153,18 @@ MUTANTS = [
         "    rows = min(_CHUNK, max(1, _DRAW_UNIFORMS // steps)) if steps else _CHUNK",
         "    rows = _CHUNK",
     ),
+    (
+        "pool-bound",
+        "distribution.py",
+        "    workers = min(workers, len(tasks))",
+        "    workers = workers",
+    ),
+    (
+        "expect-only-nmax-refusal",
+        "cli.py",
+        "    if config.nmax < 1 and not (config.expect_only and config.grid):",
+        "    if config.nmax < 1 and not config.expect_only:",
+    ),
 ]
 
 
