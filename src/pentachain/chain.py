@@ -16,10 +16,12 @@ mode sequence.  A ChainBlueprint records one realization: n and the modes for
 k = 2..n-1, i.e. max(0, n-2) choices.
 
 Vertex ids are 0-based and pentagon-major: x_{k,j} has id 5*(k-1) + (j-1).
+build_graph stores a chain as one neighbour table, which the dense engines read.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -47,10 +49,10 @@ class AttachmentMode(Enum):
     MODE1 = "M1"  # x_{k,2}, probability p1
     MODE2 = "M2"  # x_{k,3}, probability 1 - p1
 
-    @property
-    def position(self) -> int:
-        """0-based cycle position of the attachment vertex."""
-        return 1 if self is AttachmentMode.MODE1 else 2
+    def __init__(self, value: str) -> None:
+        # 0-based cycle position of the attachment vertex, a plain attribute
+        # so that a walk over a long chain's choices reads it cheaply
+        self.position = 1 if value == "M1" else 2
 
 
 @dataclass(frozen=True)
@@ -152,43 +154,61 @@ class ProbabilityParams:
 
 @dataclass(frozen=True)
 class PentagonChainGraph:
-    """Labeled adjacency structure of one chain realization.
+    """One chain realization as its read-only (V, width) intp neighbour table:
+    row u lists u's neighbours in ascending order, padded with u itself
+    (width 3 on a chain).  adjacency, degrees and bridges are derived from it
+    on first read; the table is left out of equality and hashing."""
 
-    vertex id = 5*(pentagon-1) + (position-1); adjacency holds sorted
-    neighbor tuples; bridges lists the cut edges (u_k, x_{k+1,1}) in chain
-    order.
-    """
-
-    n: int
     blueprint: ChainBlueprint
-    adjacency: tuple[tuple[int, ...], ...]
-    bridges: tuple[tuple[int, int], ...]
-    degrees: tuple[int, ...] = field(default=())
+    table: np.ndarray = field(compare=False, repr=False)
+    _FORMAT_CHUNK = 1 << 16  # edges per "%d %d\n" format call in edge_list_text
 
     def __post_init__(self) -> None:
-        if not self.degrees:
-            object.__setattr__(
-                self, "degrees", tuple(len(nbrs) for nbrs in self.adjacency)
-            )
+        self.table.flags.writeable = False
+
+    @property
+    def n(self) -> int:
+        return self.blueprint.n
 
     @property
     def vertex_count(self) -> int:
-        return 5 * self.n
+        return len(self.table)
 
     @property
     def edge_count(self) -> int:
-        return sum(self.degrees) // 2
+        return int(self.degrees.sum()) // 2
+
+    @functools.cached_property
+    def degrees(self) -> np.ndarray:
+        """Read-only neighbour count of each vertex: its row's cells but the pads."""
+        degrees = np.count_nonzero(self.table != np.arange(len(self.table))[:, None], axis=1)
+        degrees.flags.writeable = False
+        return degrees
+
+    @functools.cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(v for v in row if v != u) for u, row in enumerate(self.table.tolist()))
+
+    @functools.cached_property
+    def bridges(self) -> tuple[tuple[int, int], ...]:
+        """The edges (u_k, x_{k+1,1}) between two pentagons, in chain order."""
+        pairs = self._edge_pairs()
+        return tuple(map(tuple, pairs[pairs[:, 0] // 5 != pairs[:, 1] // 5].tolist()))
+
+    def _edge_pairs(self) -> np.ndarray:
+        """The (m, 2) edges u < v sorted by (u, v): cells above their row, row-major."""
+        rows, cols = np.nonzero(self.table > np.arange(len(self.table))[:, None])
+        return np.stack((rows, self.table[rows, cols]), axis=1)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as ordered (u, v) pairs with u < v, pentagon-major."""
-        for u, nbrs in enumerate(self.adjacency):
-            for v in nbrs:
-                if u < v:
-                    yield (u, v)
+        return map(tuple, self._edge_pairs().tolist())
 
     def edge_list_text(self) -> str:
         """Edge-list export: one 'u v' pair per line, 0-based ids."""
-        return "\n".join(f"{u} {v}" for u, v in self.edges()) + "\n"
+        flat, step = self._edge_pairs().reshape(-1), 2 * self._FORMAT_CHUNK
+        parts = (flat[i : i + step].tolist() for i in range(0, len(flat), step))
+        return "".join(("%d %d\n" * (len(part) // 2)) % tuple(part) for part in parts)
 
 
 def vertex_id(pentagon: int, position: int) -> int:
@@ -202,48 +222,27 @@ def attachment_positions(blueprint: ChainBlueprint) -> list[int]:
     Pentagon 1 sends its bridge from position 0 (x_{1,1}); pentagon k >= 2
     sends from position 1 or 2 per choices[k-2].
     """
-    out = []
-    if blueprint.n >= 2:
-        out.append(0)
-        for choice in blueprint.choices:
-            out.append(choice.position)
-    return out
+    if blueprint.n < 2:
+        return []
+    return [0] + [choice.position for choice in blueprint.choices]
 
 
 def build_graph(blueprint: ChainBlueprint) -> PentagonChainGraph:
-    """Construct the chain graph for a blueprint.
-
-    Returns
-    -------
-    PentagonChainGraph with 5n vertices and 6n - 1 edges: 5 cycle edges per
-    pentagon plus n - 1 bridges.  For n >= 2 exactly 2(n - 1) vertices (the
-    bridge endpoints) have degree 3, the rest degree 2.
-    """
+    """The chain graph of a blueprint: 5n vertices and 6n - 1 edges, 5 cycle
+    edges per pentagon plus n - 1 bridges, whose 2(n - 1) endpoints have
+    degree 3 and the rest degree 2.  Filled as one neighbour table."""
     n = blueprint.n
-    adjacency: list[list[int]] = [[] for _ in range(5 * n)]
-
-    def add_edge(u: int, v: int) -> None:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-
-    for k in range(1, n + 1):
-        base = 5 * (k - 1)
-        for j in range(5):
-            add_edge(base + j, base + (j + 1) % 5)
-
-    bridges = []
-    for k, pos in enumerate(attachment_positions(blueprint), start=1):
-        u = vertex_id(k, pos + 1)
-        v = vertex_id(k + 1, 1)
-        add_edge(u, v)
-        bridges.append((u, v))
-
-    return PentagonChainGraph(
-        n=n,
-        blueprint=blueprint,
-        adjacency=tuple(tuple(sorted(nbrs)) for nbrs in adjacency),
-        bridges=tuple(bridges),
-    )
+    ids = np.arange(5 * n, dtype=np.intp)
+    first = ids - ids % 5  # x_{k,1} of each vertex's own pentagon
+    # the two cycle neighbours, then a pad that the bridge ends overwrite
+    table = np.stack((first + (ids + 4) % 5, first + (ids + 1) % 5, ids), axis=1)
+    # bridge k joins u_k, at its attachment position, to x_{k+1,1}
+    out = 5 * np.arange(n - 1) + np.array(attachment_positions(blueprint), dtype=np.intp)
+    entry = 5 * np.arange(1, n, dtype=np.intp)
+    table[out, 2] = entry
+    table[entry, 2] = out
+    table.sort(axis=1)
+    return PentagonChainGraph(blueprint=blueprint, table=table)
 
 
 def sample_blueprint(
@@ -259,14 +258,9 @@ def sample_blueprint(
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     p1 = float(ProbabilityParams.coerce(p)[0])
-    steps = max(0, n - 2)
-    if steps == 0:
-        return ChainBlueprint(n=n)
-    u = rng.random(steps)
-    choices = tuple(
-        AttachmentMode.MODE1 if x < p1 else AttachmentMode.MODE2 for x in u
-    )
-    return ChainBlueprint(n=n, choices=choices)
+    u = rng.random(max(0, n - 2))  # no draw at all for n <= 2
+    modes = (AttachmentMode.MODE1, AttachmentMode.MODE2)
+    return ChainBlueprint(n, tuple(modes[x >= p1] for x in u.tolist()))
 
 
 def enumerate_blueprints(

@@ -9,15 +9,19 @@ most one worker per sample stream.  report --normality prints one statistic,
 from one draw, for the four moment indices: each is base + slope * T2 with
 slope > 0, so all four standardize alike.  report refuses (exit 2) the flags
 its mode would drop: --with-mc with --normality or --expect-only, --pretty or
---format json with --expect-only, and --expect-only at --nmax < 1 without --grid.
+--format json with --expect-only, --expect-only or --grid with --normality,
+--pretty with --format csv, and --expect-only at --nmax < 1 without --grid.
+A closed stdout (say, `| head -1`) is no error: the command's own code stands.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -168,8 +172,7 @@ def cmd_generate(config: RunConfig) -> tuple[str, int]:
     params = ProbabilityParams.parse(config.p1)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
     blueprint = sample_blueprint(config.n, params, rng)
-    graph = build_graph(blueprint)
-    body = graph.edge_list_text()
+    body = build_graph(blueprint).edge_list_text()
     if config.edges_only:
         return body, EXIT_OK
     return f"# {blueprint.to_json()}\n{body}", EXIT_OK
@@ -316,6 +319,10 @@ def cmd_report(config: RunConfig) -> tuple[str, int]:
         raise ValueError("--with-mc applies to the verification table only")
     if config.expect_only and (config.pretty or config.fmt == "json"):
         raise ValueError("--expect-only prints CSV only: no --pretty or --format json")
+    if config.normality and (config.expect_only or config.grid):
+        raise ValueError("--normality prints KS rows: no --expect-only or --grid")
+    if config.pretty and config.fmt == "csv":
+        raise ValueError("--pretty and --format csv are two renderings: pick one")
     if config.normality:
         return _normality_text(config), EXIT_OK
     if config.nmax < 1 and not (config.expect_only and config.grid):
@@ -352,7 +359,14 @@ def _emit(text: str, out: str | None) -> None:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text if text.endswith("\n") else text + "\n")
     else:
-        print(text, end="" if text.endswith("\n") else "\n")
+        try:
+            print(text, end="" if text.endswith("\n") else "\n")
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader wants no more: point fd 1, if there is one, at
+            # os.devnull, so that the flush at interpreter exit meets no closed pipe
+            with contextlib.suppress(OSError), open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
 
 
 def main(argv=None) -> int:

@@ -115,7 +115,7 @@ def compute_indices(
         if not m.is_exact:
             raise ValueError("compute_indices needs exact matrices")
 
-    deg = np.array(g.degrees, dtype=np.int64)
+    deg = g.degrees  # from the graph's neighbour table
     values = []
     for m in (dist, res):
         # over ordered pairs of a symmetric m: sum deg_u deg_v m_uv is

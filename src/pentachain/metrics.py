@@ -3,12 +3,11 @@
 Three engines, deliberately redundant so they can check each other:
 
 * bfs_all_pairs       — breadth-first search from all sources at once over
-                        a table of each (source, vertex) cell's neighbour
-                        cells, built once from the adjacency alone: V^2 x
-                        max-degree intp entries, five numpy operations per
-                        level (distance only).
+                        the graph's neighbour table, five numpy operations
+                        per level (distance only).
 * laplacian_resistance — Moore-Penrose pseudoinverse of the graph Laplacian
-                         via the rank-one shift inv(L + J/m) (float).
+                         via the rank-one shift inv(L + J/m), filled from
+                         the same neighbour table (float).
 * structured_metrics  — exploits that every bridge is a cut edge, so any
                         cross-pentagon metric is (metric to the local
                         attachment vertex) + bridge + (metric from the entry
@@ -23,7 +22,6 @@ splits into l and 5-l series arms in parallel: l(5-l)/5).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -98,31 +96,25 @@ def bfs_all_pairs(g: PentagonChainGraph) -> MetricMatrix:
     """Shortest-path distance matrix by breadth-first search from every source.
 
     All sources advance together: the frontier is the set of (source, vertex)
-    cells of the flat distance matrix at the current level.  A cell table,
-    built once per graph, lists the neighbour cells of every cell:
-    cells[s*V + u] = s*V + table[u], V^2 * width entries of intp, where width
-    is the largest degree (3 on a chain: 8 * 3 * V^2 bytes, 24 MB at V =
-    1000).  Each level is then five numpy operations, O(diameter) levels in
-    all: take the frontier's neighbour cells, take their distances, compare
-    with 0, compress to the unvisited cells, put the level.  Reads only g.adjacency, so it stays
-    independent of the blueprint and the structured engine.
+    cells of the flat distance matrix at the current level.  The cell table
+    cells[s*V + u] = s*V + g.table[u] lists every cell's neighbour cells:
+    V^2 * 3 intp entries on a chain, 24 MB at V = 1000.  Each level is five
+    numpy operations: take the frontier's neighbour cells, take their
+    distances, compare with 0, compress to the unvisited cells, put the
+    level.  Reads only g.table, so it stays independent of the blueprint and
+    the structured engine.
 
     Chain graphs are 5-cycles joined by cut edges, so every pair has one
     shortest path, no cell enters the frontier twice, and the work is
     O(V*E).  On a graph with several shortest paths the distances stay
     right, but a cell is repeated once per shortest path, and so is the work.
     Refuses graphs of more than DEFAULT_DENSE_CAP vertices with ValueError
-    before the table is built.
+    before the cell table is built.
     """
-    adjacency = g.adjacency
-    V = len(adjacency)
+    table = g.table
+    V, width = table.shape
     _check_dense_size(V)
-    width = max(map(len, adjacency), default=0)
-    # pad row u with u itself: u is on the frontier, so the pad reads as visited
-    table = np.array(
-        [nbrs + (u,) * (width - len(nbrs)) for u, nbrs in enumerate(adjacency)],
-        dtype=np.intp,
-    ).reshape(V, width)
+    # a pad u in row u is a visited cell: u is on the frontier already
     cells = (np.arange(V, dtype=np.intp)[:, None, None] * V + table).reshape(V * V, width)
     dist = np.full(V * V, -1, dtype=np.int64)
     frontier = np.arange(V) * (V + 1)  # the diagonal cells (s, s)
@@ -155,15 +147,14 @@ def laplacian_resistance(g: PentagonChainGraph) -> MetricMatrix:
     shift's contribution cancels in r(u,v) = M_uu + M_vv - 2 M_uv.  Refuses
     graphs of more than DEFAULT_DENSE_CAP vertices with ValueError.
     """
-    V = g.vertex_count
+    table, V = g.table, g.vertex_count
     _check_dense_size(V)
     # L + J/V in place: 1/V everywhere, minus 1 on each edge, plus the degree
-    # on the diagonal; the same floats as (diag(deg) - A) + 1/V
+    # on the diagonal; the same floats as (diag(deg) - A) + 1/V.  The pad
+    # mask subtracts 1 at each edge cell and 0 at a pad, on the diagonal.
+    own = np.arange(V)[:, None]
     shifted = np.full((V, V), 1.0 / V)
-    shifted[
-        np.repeat(np.arange(V), g.degrees),
-        np.fromiter(itertools.chain.from_iterable(g.adjacency), dtype=np.intp),
-    ] -= 1.0
+    shifted[own, table] -= table != own
     shifted.reshape(-1)[:: V + 1] += g.degrees
     M = np.linalg.inv(shifted)
     res = np.add.outer(M.diagonal(), M.diagonal())

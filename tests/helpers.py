@@ -71,6 +71,21 @@ def enumeration_moments(index: IndexKind, n: int, p) -> tuple[Fraction, Fraction
     return mean, variance
 
 
+def chain_edges(blueprint) -> str:
+    """The chain's edge list as text, one 'u v' line per edge with u < v,
+    sorted by (u, v), straight from the definition: five cycle edges per
+    pentagon, then the bridge from x_{1,1} and from x_{k,2} (mode 1) or
+    x_{k,3} (mode 2) of pentagon k to x_{k+1,1}.  Shares nothing with
+    build_graph or its neighbour table."""
+    n = blueprint.n
+    edges = []
+    for k in range(n):
+        edges += [(5 * k + j, 5 * k + (j + 1) % 5) for j in range(5)]
+    positions = [0] + [1 if c is AttachmentMode.MODE1 else 2 for c in blueprint.choices]
+    edges += [(5 * k + positions[k], 5 * k + 5) for k in range(n - 1)]
+    return "".join(f"{u} {v}\n" for u, v in sorted(tuple(sorted(e)) for e in edges))
+
+
 def bfs_distances(graph) -> np.ndarray:
     """All-pairs hop distances by a textbook queue BFS from each source.
 

@@ -11,6 +11,7 @@ import hypothesis.strategies as st
 from pentachain import (
     AttachmentMode,
     ChainBlueprint,
+    PentagonChainGraph,
     ProbabilityParams,
     all_mode_blueprint,
     attachment_positions,
@@ -19,6 +20,8 @@ from pentachain import (
     sample_blueprint,
     vertex_id,
 )
+
+from helpers import chain_edges
 
 M1 = AttachmentMode.MODE1
 M2 = AttachmentMode.MODE2
@@ -78,6 +81,51 @@ def test_adjacency_is_sorted_and_symmetric():
         for v in nbrs:
             assert u in g.adjacency[v]
     assert g.edge_list_text().count("\n") == g.edge_count
+
+
+def table_chains():
+    """Every blueprint with n <= 7, 20 seeded chains with n <= 1,000, and one
+    chain whose 71,999 edges span more than one formatting chunk."""
+    for n in range(1, 8):
+        for bp, _ in enumerate_blueprints(n, ProbabilityParams(Fraction(1, 2))):
+            yield bp
+    rng = np.random.Generator(np.random.PCG64(22))
+    for _ in range(20):
+        yield sample_blueprint(int(rng.integers(1, 1001)), ProbabilityParams(0.4), rng)
+    yield sample_blueprint(12000, ProbabilityParams(0.6), rng)
+
+
+def test_edge_list_matches_the_definition():
+    for bp in table_chains():
+        graph = build_graph(bp)
+        assert graph.edge_list_text() == chain_edges(bp), bp.n
+    # the last chain's edges fill more than one format call
+    assert graph.edge_count > PentagonChainGraph._FORMAT_CHUNK
+
+
+def by_rows(pairs):
+    """pairs sorted by (first, second)."""
+    return pairs[np.lexsort(pairs.T[::-1])]
+
+
+def test_neighbour_table_invariants():
+    for bp in table_chains():
+        table = build_graph(bp).table
+        V = 5 * bp.n
+        assert table.shape == (V, 3) and table.dtype == np.intp
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+        assert (np.diff(table, axis=1) >= 0).all()
+        own = np.arange(V)[:, None]
+        rows, cols = np.nonzero(table != own)
+        arcs = np.stack((rows, table[rows, cols]), axis=1)
+        # the cells other than u itself are u's neighbours by the definition,
+        # each once, so the rest of the row is pads equal to u
+        edges = np.array(chain_edges(bp).split(), dtype=np.intp).reshape(-1, 2)
+        assert np.array_equal(by_rows(arcs), by_rows(np.concatenate((edges, edges[:, ::-1]))))
+        # v is in row u exactly when u is in row v
+        assert np.array_equal(by_rows(arcs), by_rows(arcs[:, ::-1]))
 
 
 def test_blueprint_validation():

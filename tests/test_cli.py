@@ -386,6 +386,28 @@ def test_optimized_interpreter_prints_the_same_report():
     assert plain.stdout and optimized.stdout == plain.stdout
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["report", "--nmax", "12"], ["generate", "--n", "20000", "--edges-only"]],
+    ids=["report", "generate"],
+)
+def test_a_closed_stdout_is_not_an_error(argv):
+    # the read end is closed before the child starts, so its first write to
+    # stdout meets a broken pipe, as under `| head -1`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pentachain", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=os.environ | {"PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
 def test_import_leaves_scipy_out():
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, pentachain; print('scipy' in sys.modules)"],
@@ -530,6 +552,10 @@ def test_report_normality_draws_once(monkeypatch, capsys):
         (["--expect-only", "--grid", "n=1..3", "--with-mc"], "--with-mc applies"),
         (["--expect-only", "--nmax", "0"], "nmax must be >= 1, got 0"),
         (["--normality", "--n", "10", "--with-mc"], "--with-mc applies"),
+        (["--normality", "--n", "10", "--expect-only"], "no --expect-only or --grid"),
+        (["--normality", "--n", "10", "--grid", "n=1..3"], "no --expect-only or --grid"),
+        (["--nmax", "2", "--pretty", "--format", "csv"], "pick one"),
+        (["--normality", "--n", "10", "--pretty", "--format", "csv"], "pick one"),
     ],
 )
 def test_report_refuses_flags_its_mode_would_drop(argv, message, monkeypatch, capsys):

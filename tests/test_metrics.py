@@ -108,14 +108,12 @@ def test_total_counts_unordered_pairs():
 
 
 def hand_built(adjacency):
-    """A graph object carrying only an adjacency; its blueprint is a lone
-    pentagon, which the adjacency-only engines must ignore."""
-    return PentagonChainGraph(
-        n=1,
-        blueprint=PENTAGON,
-        adjacency=tuple(tuple(sorted(nbrs)) for nbrs in adjacency),
-        bridges=(),
-    )
+    """A graph object carrying only a neighbour table, each row sorted and
+    padded with its own vertex; its blueprint is a lone pentagon, which the
+    table-only engines must ignore."""
+    width = max(map(len, adjacency))
+    table = [sorted([*nbrs] + [u] * (width - len(nbrs))) for u, nbrs in enumerate(adjacency)]
+    return PentagonChainGraph(blueprint=PENTAGON, table=np.array(table, dtype=np.intp))
 
 
 def assert_bfs_matches_oracle(g):
